@@ -43,13 +43,14 @@
 
 use std::collections::HashSet;
 use std::ops::Range;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use dependability::mcprog::{derive_seed, DrawTable};
 use dependability::perturb::{availability_with, scaled_availability};
 use dependability::{
-    overlay_model, AnalysisOptions, McProgram, McScratch, ParamEstimator, PosteriorComponent,
-    ServiceAvailabilityModel,
+    overlay_model, wide_block_count, AnalysisOptions, McAccum, McPlan, McProgram, McScratch,
+    ParamEstimator, PosteriorComponent, ServiceAvailabilityModel,
 };
 use upsim_core::discovery::DiscoveryOptions;
 use upsim_core::infrastructure::{DeviceKind, Infrastructure};
@@ -340,8 +341,13 @@ pub fn evaluate_baseline_chunk(
                 } else {
                     match &mcb.table {
                         Some(table) => {
-                            let mut scratch = mcb.program.scratch();
-                            mcb.program.run_with_table(table, &mut scratch).0.estimate
+                            let plan = McPlan {
+                                table: Some(table),
+                                ..McPlan::new(settings.samples, mcb.seed)
+                            };
+                            execute_inline(&mcb.program, &plan, &mut mcb.program.scratch())
+                                .result(settings.samples)
+                                .estimate
                         }
                         None => mcb.program.run(settings.samples, 1, mcb.seed).estimate,
                     }
@@ -532,31 +538,24 @@ pub fn evaluate_scenario_with(
                     &kills,
                     &scales,
                 ));
-                let seed = scenario_seed(input, mcb.seed, index, p_ix);
-                let (result, ci) = mcb.program.run_posterior_thresholds(
-                    &probs,
-                    settings.samples,
-                    seed,
-                    &sampler,
-                    &mut ctx.scratch,
-                );
-                (result.estimate, Some(ci))
-            } else {
-                let estimate = match &mcb.table {
-                    Some(table) => {
-                        let (result, reused) =
-                            mcb.program
-                                .run_with_table_thresholds(table, &probs, &mut ctx.scratch);
-                        crn_reused += reused;
-                        result.estimate
-                    }
-                    None => {
-                        mcb.program
-                            .run_thresholds(&probs, settings.samples, mcb.seed, &mut ctx.scratch)
-                            .estimate
-                    }
+                let plan = McPlan {
+                    probs: Some(&probs),
+                    sampler: Some(&sampler),
+                    ..McPlan::new(
+                        settings.samples,
+                        scenario_seed(input, mcb.seed, index, p_ix),
+                    )
                 };
-                (estimate, None)
+                price_posterior(&mcb.program, &plan, &mut ctx.scratch)
+            } else {
+                let plan = McPlan {
+                    probs: Some(&probs),
+                    table: mcb.table.as_ref(),
+                    ..McPlan::new(settings.samples, mcb.seed)
+                };
+                let accum = execute_inline(&mcb.program, &plan, &mut ctx.scratch);
+                crn_reused += accum.reused_words;
+                (accum.result(settings.samples).estimate, None)
             }
         } else {
             price(
@@ -717,9 +716,12 @@ fn price(
                 let program = model.compile_mc_unfolded();
                 let sampler = program
                     .posterior_sampler(&blank_perturbed(posteriors, model, classes, kills, scales));
-                let (result, ci) =
-                    program.run_posterior_thresholds(&probs, mc.samples, seed, &sampler, scratch);
-                (result.estimate, Some(ci))
+                let plan = McPlan {
+                    probs: Some(&probs),
+                    sampler: Some(&sampler),
+                    ..McPlan::new(mc.samples, seed)
+                };
+                price_posterior(&program, &plan, scratch)
             } else {
                 let program = McProgram::compile(
                     &probs,
@@ -730,6 +732,32 @@ fn price(
         }
         None => (availability_with(model, &probs), None),
     }
+}
+
+/// Executes a whole MC plan inline on the calling thread: campaign
+/// workers parallelize across scenarios, not within one.
+fn execute_inline(program: &McProgram, plan: &McPlan, scratch: &mut McScratch) -> McAccum {
+    let blocks = wide_block_count(plan.samples);
+    program.execute(plan, &AtomicU64::new(0), blocks, scratch)
+}
+
+/// Prices a posterior plan inline: the estimate and its 95% predictive
+/// interval, which collapses onto a constant program's value exactly as
+/// in [`McProgram::run_posterior`].
+fn price_posterior(
+    program: &McProgram,
+    plan: &McPlan,
+    scratch: &mut McScratch,
+) -> (f64, Option<(f64, f64)>) {
+    if let Some(estimate) = program.constant_estimate() {
+        return (estimate, Some((estimate, estimate)));
+    }
+    let accum = execute_inline(program, plan, scratch);
+    let samples = plan.samples;
+    (
+        accum.result(samples).estimate,
+        Some(accum.interval95(samples)),
+    )
 }
 
 /// The component probability vector under kills and MTBF scales.

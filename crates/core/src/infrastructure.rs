@@ -335,18 +335,26 @@ impl Infrastructure {
 
     /// Dynamicity: removes the (first) link between two instances.
     pub fn disconnect(&mut self, a: &str, b: &str) -> UpsimResult<bool> {
-        let pos = self
-            .objects
-            .links
-            .iter()
-            .position(|l| (l.end_a == a && l.end_b == b) || (l.end_a == b && l.end_b == a));
-        match pos {
+        match self.link_between(a, b) {
             Some(i) => {
                 self.objects.links.remove(i);
                 Ok(true)
             }
             None => Ok(false),
         }
+    }
+
+    /// `true` if at least one link joins the two instances (either
+    /// direction).
+    pub fn linked(&self, a: &str, b: &str) -> bool {
+        self.link_between(a, b).is_some()
+    }
+
+    fn link_between(&self, a: &str, b: &str) -> Option<usize> {
+        self.objects
+            .links
+            .iter()
+            .position(|l| (l.end_a == a && l.end_b == b) || (l.end_a == b && l.end_b == a))
     }
 
     /// The class name of a deployed instance.

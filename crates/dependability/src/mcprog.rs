@@ -18,50 +18,50 @@
 //! nearby seeds produce decorrelated sample sets instead of shifted
 //! copies of each other. A draw is a pure function of its coordinates —
 //! no state is consumed — so the estimate is **bit-identical for a fixed
-//! `(seed, samples)` regardless of worker count**, and the twins
-//! [`McProgram::run_narrow`] (one 64-trial word at a time) and
-//! [`McProgram::run_scalar`] (one trial at a time) reproduce
-//! [`McProgram::run`] exactly.
+//! `(seed, samples)` regardless of worker count**, and trial-for-trial
+//! equal to the trial-at-a-time reference sampler
+//! [`montecarlo::estimate`](crate::montecarlo::estimate).
 //!
 //! # Wide-lane execution
 //!
-//! The production executor [`McProgram::run`] generates draws in
-//! **wide blocks of [`WIDE_WORDS`] words = 512 trials**: because the
-//! draw counters advance by a constant Weyl stride, the whole
-//! mix/compare/pack loop is a pure function of `lane`, and the packing
-//! kernel is compiled three times — an AVX-512 version (native 64-bit
-//! vector multiply via `avx512dq`), an AVX2 version, and a portable
-//! scalar version — with the best one picked once per process by runtime
-//! CPU feature detection. All three run the *same* Rust loop over the
-//! same coordinates, so the choice never changes a single draw bit.
+//! The executor generates draws in **wide blocks of [`WIDE_WORDS`] words
+//! = 512 trials**: because the draw counters advance by a constant Weyl
+//! stride, the whole mix/compare/pack loop is a pure function of `lane`,
+//! and the packing kernel is compiled three times — an AVX-512 version
+//! (native 64-bit vector multiply via `avx512dq`), an AVX2 version, and a
+//! portable scalar version — with the best one picked once per process
+//! by runtime CPU feature detection. All three run the *same* Rust loop
+//! over the same coordinates, so the choice never changes a single draw
+//! bit.
+//!
+//! # One plan, one executor
+//!
+//! Everything a run varies in is an [`McPlan`]: the `(samples, seed)`
+//! grid, an optional per-component probability overlay, an optional
+//! shared [`DrawTable`] and an optional [`PosteriorSampler`].
+//! [`McProgram::execute`] claims wide blocks off a shared atomic cursor in
+//! [`steal_chunk`]-sized spans and, per block, resamples the sampler's
+//! slots, copies the table's words, packs every slot the table does not
+//! hold, and folds the popcount into an [`McAccum`]. Every accumulator
+//! field is an integer sum over blocks, so any set of callers sharing one
+//! cursor — the scoped threads behind [`McProgram::run`] and
+//! [`McProgram::run_posterior`], or the engine's persistent worker pool
+//! pricing one `MC` query cooperatively — merges to the same bits.
 //!
 //! # Draw-word reuse (common random numbers)
 //!
 //! [`McProgram::draw_table`] packs every slot's words for a whole
-//! `(seed, samples)` grid once; [`McProgram::run_with_table`] then
-//! evaluates a program against that table, re-packing only slots whose
-//! `(stream, threshold)` key differs from the table's. Combined with
-//! [`McProgram::compile_unfolded`] / [`McProgram::with_thresholds`]
-//! (which keep program shape fixed while thresholds move) this is the
-//! common-random-number engine behind campaign pricing: an N-scenario
-//! sweep draws the baseline stream once and each scenario re-packs only
-//! the components its perturbation touched. The table is a pure cache —
-//! `run_with_table` is bit-identical to `run(samples, 1, seed)` on the
-//! same program. The clone-free twins
-//! [`McProgram::run_with_table_thresholds`] and
-//! [`McProgram::run_thresholds`] apply the threshold rewrite as a
-//! scratch-held overlay instead of cloning the program, so per-scenario
-//! setup cost is O(slots copied), not O(program allocated).
-//!
-//! # Parallel execution
-//!
-//! [`McProgram::run`] executes inline when one worker (or one block)
-//! suffices; otherwise its workers drain a shared atomic block cursor
-//! ([`McProgram::run_partial`]) in [`steal_chunk`]-sized claims, so a
-//! straggler rebalances instead of serializing the tail. The same
-//! partial-run API lets the engine's persistent worker pool price one
-//! `MC` query cooperatively — successes sum identically for every
-//! partition ([`mc_result_from`]).
+//! `(seed, samples)` grid once; a plan carrying the table copies the
+//! words of every slot whose `(stream, threshold)` key matches and
+//! re-packs only the rest. Combined with [`McProgram::compile_unfolded`]
+//! and a plan's probability overlay (which keep program shape fixed while
+//! thresholds move) this is the common-random-number engine behind
+//! campaign pricing: an N-scenario sweep draws the baseline stream once
+//! and each scenario re-packs only the components its perturbation
+//! touched. The overlay lives in the caller's [`McScratch`], so
+//! per-scenario setup cost is O(slots copied), not O(program allocated).
+//! The table is a pure cache — a plan with it is bit-identical to the
+//! same plan without it.
 //!
 //! Compilation constant-folds degenerate availabilities: a component with
 //! `p ≥ 1` is dropped from its paths (AND identity), a path containing a
@@ -146,41 +146,6 @@ struct CompDraw {
     /// sentinel `u64::MAX` means certainly up, `0` certainly down —
     /// both are decided without mixing.
     threshold: u64,
-}
-
-impl CompDraw {
-    /// The up/down draw for one global trial index.
-    #[inline(always)]
-    fn up(&self, seed: u64, trial: u64) -> bool {
-        if self.threshold == u64::MAX {
-            return true;
-        }
-        let key = seed
-            .wrapping_add(trial.wrapping_mul(GAMMA))
-            .wrapping_add(self.stream);
-        mix(key) < self.threshold
-    }
-
-    /// 64 consecutive trials packed one per bit lane (lane `l` holds
-    /// trial `base_trial + l`) — the narrow (one-word) packing step.
-    #[inline(always)]
-    fn pack(&self, seed: u64, base_trial: u64) -> u64 {
-        if self.threshold == 0 {
-            return 0;
-        }
-        if self.threshold == u64::MAX {
-            return !0;
-        }
-        let mut key = seed
-            .wrapping_add(base_trial.wrapping_mul(GAMMA))
-            .wrapping_add(self.stream);
-        let mut word = 0u64;
-        for lane in 0..64u64 {
-            word |= u64::from(mix(key) < self.threshold) << lane;
-            key = key.wrapping_add(GAMMA);
-        }
-        word
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -346,8 +311,8 @@ pub fn wide_kernel_name() -> &'static str {
 pub struct McProgram {
     /// One entry per drawn component slot.
     draws: Vec<CompDraw>,
-    /// Model component index per slot (parallel to `draws`) — the key
-    /// [`McProgram::with_thresholds`] rewrites by.
+    /// Model component index per slot (parallel to `draws`) — the key a
+    /// plan's probability overlay rewrites by.
     slot_comp: Vec<u32>,
     /// Flat slot ids; each path is a span of this.
     path_slots: Vec<u32>,
@@ -360,35 +325,67 @@ pub struct McProgram {
     dead: bool,
 }
 
+/// Everything one Monte-Carlo run varies in. [`McPlan::new`] is the plain
+/// point run over the compiled thresholds; the optional inputs are set
+/// with struct-update syntax. A plan may carry a table *or* a sampler,
+/// not both: block resampling rewrites thresholds between blocks, which
+/// a packed table cannot represent.
+#[derive(Debug, Clone, Copy)]
+pub struct McPlan<'a> {
+    /// Trials to evaluate (exact: lanes past the last one are masked).
+    pub samples: usize,
+    /// Base seed of the counter-based draw stream.
+    pub seed: u64,
+    /// Up-probabilities indexed by model component (like the compile
+    /// input) overlaid on every slot's compiled threshold. The program's
+    /// shape is untouched, so the overlay stays key-compatible with a
+    /// [`DrawTable`] drawn from the compiled thresholds.
+    pub probs: Option<&'a [f64]>,
+    /// Packed words of the same `(seed, samples)` grid: slots whose
+    /// `(stream, threshold)` key matches copy their words instead of
+    /// packing them. The program must be the one that drew the table.
+    pub table: Option<&'a DrawTable>,
+    /// Parameter posteriors: before each wide block the sampler's slots
+    /// redraw their thresholds (on top of any overlay), so the block's
+    /// 512 trials share one parameter draw.
+    pub sampler: Option<&'a PosteriorSampler>,
+}
+
+impl McPlan<'_> {
+    /// The point plan over the compiled thresholds: no overlay, no
+    /// table, no sampler.
+    pub fn new(samples: usize, seed: u64) -> Self {
+        McPlan {
+            samples,
+            seed,
+            probs: None,
+            table: None,
+            sampler: None,
+        }
+    }
+}
+
 /// Reusable per-worker scratch: the packed draw words of the current
-/// wide block (slot-major, [`WIDE_WORDS`] words per slot) plus the slot
-/// worklist of the common-random-number path. One scratch can serve any
-/// number of programs of any shape — every run entry point resizes it —
-/// so a campaign worker allocates it once and reuses it across every
-/// (scenario, perspective) it prices.
+/// wide block (slot-major, [`WIDE_WORDS`] words per slot), the slots a
+/// plan packs fresh, and the plan's overlaid draw vector. One scratch can
+/// serve any number of programs of any shape — [`McProgram::execute`]
+/// resizes it — so a campaign worker allocates it once and reuses it
+/// across every (scenario, perspective) it prices.
 #[derive(Debug, Default, Clone)]
 pub struct McScratch {
     words: Vec<u64>,
-    /// Slots that must be packed fresh (all of them on the plain path;
-    /// only the perturbed ones when running against a draw table).
+    /// Slots packed fresh each block (all of them unless a table holds
+    /// their words).
     fresh: Vec<u32>,
-    /// Threshold-overlaid draw vector of the clone-free scenario runs
-    /// ([`McProgram::run_thresholds`] /
-    /// [`McProgram::run_with_table_thresholds`]).
+    /// The program's draws under the plan's overlay and resampling.
     draws: Vec<CompDraw>,
-}
-
-impl McScratch {
-    fn ensure(&mut self, program: &McProgram) {
-        self.words.resize(program.draws.len() * WIDE_WORDS, 0);
-    }
 }
 
 /// Packed draw words for every slot of a program over a fixed
 /// `(seed, samples)` grid — the shared baseline stream of a
 /// common-random-number campaign. Keys are `(stream, threshold)` pairs:
-/// a later program reuses a slot's words iff its key matches, so
-/// perturbing a component (threshold rewrite) transparently invalidates
+/// a later plan reuses a slot's words iff its key matches, so
+/// perturbing a component (threshold overlay) transparently invalidates
 /// exactly that component's cache line.
 #[derive(Debug, Clone)]
 pub struct DrawTable {
@@ -420,9 +417,8 @@ impl DrawTable {
 }
 
 /// Per-slot parameter posteriors of a program — the block-resampling
-/// input of [`McProgram::run_posterior`]. Built by
-/// [`McProgram::posterior_sampler`] from the per-model-component
-/// posterior vector an observation overlay produced
+/// input of a plan. Built by [`McProgram::posterior_sampler`] from the
+/// per-model-component posterior vector an observation overlay produced
 /// ([`crate::params::overlay_model`]); components without a posterior
 /// keep their fixed point-estimate threshold.
 #[derive(Debug, Clone, PartialEq)]
@@ -462,18 +458,18 @@ impl PosteriorSampler {
     }
 }
 
-/// Partition-invariant success accumulator of a posterior-resampled run.
+/// Partition-invariant accumulator of an [`McProgram::execute`] call.
 ///
 /// Every field is an integer sum over blocks, so merging per-worker (or
 /// per-partition) accumulators in any order reproduces the
 /// single-threaded totals exactly — no float summation order to drift.
 /// Full 512-trial blocks additionally record per-block success moments,
-/// from which [`PosteriorAccum::interval95`] forms the posterior
-/// predictive interval: block means vary with both the Bernoulli noise
-/// *and* the per-block parameter draws, so their spread is the honest
-/// total uncertainty.
+/// from which [`McAccum::interval95`] forms the posterior predictive
+/// interval: under a sampler, block means vary with both the Bernoulli
+/// noise *and* the per-block parameter draws, so their spread is the
+/// honest total uncertainty.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PosteriorAccum {
+pub struct McAccum {
     /// Successes over every evaluated trial.
     pub successes: u64,
     /// Full (512-trial) blocks evaluated.
@@ -482,19 +478,20 @@ pub struct PosteriorAccum {
     pub block_sum: u64,
     /// Σ successes² over full blocks.
     pub block_sum_sq: u128,
-    /// Successes of the ragged tail block, if any.
-    pub tail_successes: u64,
+    /// `u64` draw words copied from the plan's [`DrawTable`] instead of
+    /// packed.
+    pub reused_words: u64,
 }
 
-impl PosteriorAccum {
+impl McAccum {
     /// Folds another partition's accumulator in (field-wise integer
     /// sums — order-independent).
-    pub fn merge(&mut self, other: &PosteriorAccum) {
+    pub fn merge(&mut self, other: &McAccum) {
         self.successes += other.successes;
         self.full_blocks += other.full_blocks;
         self.block_sum += other.block_sum;
         self.block_sum_sq += other.block_sum_sq;
-        self.tail_successes += other.tail_successes;
+        self.reused_words += other.reused_words;
     }
 
     fn record(&mut self, successes: u64, full: bool) {
@@ -503,15 +500,17 @@ impl PosteriorAccum {
             self.full_blocks += 1;
             self.block_sum += successes;
             self.block_sum_sq += (successes as u128) * (successes as u128);
-        } else {
-            self.tail_successes += successes;
         }
     }
 
-    /// The point result over all evaluated trials (same reduction as
-    /// [`mc_result_from`]).
+    /// The point result over all `samples` trials of the plan.
     pub fn result(&self, samples: usize) -> MonteCarloResult {
-        result_from(self.successes, samples)
+        let estimate = self.successes as f64 / samples as f64;
+        MonteCarloResult {
+            estimate,
+            std_error: (estimate * (1.0 - estimate) / samples as f64).sqrt(),
+            samples,
+        }
     }
 
     /// 95% posterior predictive interval on the availability: the
@@ -608,8 +607,8 @@ impl McProgram {
     /// the 0 / `u64::MAX` sentinels, decided at pack time without
     /// mixing), and every path and pair keeps its span. The program's
     /// shape is therefore a function of the path structure alone — a
-    /// perturbed probability vector maps onto the same slots via
-    /// [`McProgram::with_thresholds`], which is what lets a
+    /// perturbed probability vector maps onto the same slots through a
+    /// plan's [`probs`](McPlan::probs) overlay, which is what lets a
     /// common-random-number sweep share one [`DrawTable`] across its
     /// whole scenario list.
     pub fn compile_unfolded<'a>(
@@ -664,19 +663,6 @@ impl McProgram {
         }
     }
 
-    /// A copy of this program with every slot's threshold rewritten from
-    /// `probs` (indexed by model component, like the compile input). The
-    /// shape — slots, paths, pairs — is untouched, so the copy stays
-    /// key-compatible with any [`DrawTable`] drawn from this program:
-    /// slots whose probability did not move keep their cache line.
-    pub fn with_thresholds(&self, probs: &[f64]) -> McProgram {
-        let mut rewritten = self.clone();
-        for (slot, &comp) in self.slot_comp.iter().enumerate() {
-            rewritten.draws[slot].threshold = threshold_for(probs[comp as usize]);
-        }
-        rewritten
-    }
-
     /// Number of stochastic components the program draws per trial block.
     pub fn component_count(&self) -> usize {
         self.draws.len()
@@ -701,30 +687,25 @@ impl McProgram {
         }
     }
 
-    /// A scratch buffer sized for this program (reused across blocks; the
-    /// parallel runner keeps one per worker).
+    /// A scratch buffer for [`execute`](McProgram::execute) (reused across
+    /// blocks and plans; the parallel runner keeps one per worker).
     pub fn scratch(&self) -> McScratch {
-        McScratch {
-            words: vec![0; self.draws.len() * WIDE_WORDS],
-            fresh: Vec::with_capacity(self.draws.len()),
-            draws: Vec::new(),
-        }
+        McScratch::default()
     }
 
-    /// Evaluates one 64-trial block (trials `block·64 .. block·64 + 64`)
-    /// over per-word draw storage with stride `stride` and word offset
-    /// `w`, returning the service word (bit lane = trial up). Early exits
-    /// are exact: draws are pure functions of their coordinates, so
-    /// skipping them cannot skew later blocks.
+    /// Evaluates 64 trials (word `w` of the current wide block) over the
+    /// block's slot-major draw words, returning the service word (bit
+    /// lane = trial up). Early exits are exact: draws are pure functions
+    /// of their coordinates, so skipping them cannot skew later blocks.
     #[inline]
-    fn service_word(&self, words: &[u64], w: usize, stride: usize) -> u64 {
+    fn service_word(&self, words: &[u64], w: usize) -> u64 {
         let mut service = !0u64;
         for &(pair_lo, pair_hi) in &self.pairs {
             let mut pair_up = 0u64;
             for &(lo, hi) in &self.paths[pair_lo as usize..pair_hi as usize] {
                 let mut path_up = !0u64;
                 for &slot in &self.path_slots[lo as usize..hi as usize] {
-                    path_up &= words[slot as usize * stride + w];
+                    path_up &= words[slot as usize * WIDE_WORDS + w];
                     if path_up == 0 {
                         break;
                     }
@@ -742,39 +723,10 @@ impl McProgram {
         service
     }
 
-    /// Successes among the 64-trial words of one **wide** block (trials
-    /// `wide_block·512 .. wide_block·512 + 512`, intersected with
-    /// `[0, samples)`), packing all slots through the dispatched kernel.
-    fn wide_successes(
-        &self,
-        seed: u64,
-        wide_block: u64,
-        samples: usize,
-        pack: PackSlotsFn,
-        scratch: &mut McScratch,
-    ) -> u64 {
-        let base_trial = wide_block * WIDE_TRIALS as u64;
-        pack_with(
-            pack,
-            &self.draws,
-            &scratch.fresh,
-            seed,
-            base_trial,
-            &mut scratch.words,
-        );
-        self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples)
-    }
-
     /// Popcounts the service words of one wide block's draw storage,
     /// masking lanes at or beyond `samples`.
     #[inline]
-    fn masked_successes(
-        &self,
-        words: &[u64],
-        stride: usize,
-        base_trial: u64,
-        samples: usize,
-    ) -> u64 {
+    fn masked_successes(&self, words: &[u64], base_trial: u64, samples: usize) -> u64 {
         let mut ok = 0u64;
         for w in 0..WIDE_WORDS {
             let word_base = base_trial as usize + w * 64;
@@ -787,21 +739,133 @@ impl McProgram {
             } else {
                 (1u64 << lanes) - 1
             };
-            ok += u64::from((self.service_word(words, w, stride) & mask).count_ones());
+            ok += u64::from((self.service_word(words, w) & mask).count_ones());
         }
         ok
     }
 
-    /// Bit-sliced parallel Monte-Carlo run: exactly `samples` trials over
-    /// 512-trial wide blocks. `workers == 1` (or a single block) runs
-    /// inline on the calling thread — no spawn, no join. Larger counts
-    /// fan `workers` crossbeam threads (0 = available parallelism) over a
-    /// shared work-stealing block cursor, one reusable scratch buffer per
-    /// worker, so a straggler never serializes the tail the way static
-    /// ranges did. Deterministic: the successes of a block depend only on
-    /// `(seed, block)`, and summation over blocks is partition-invariant,
-    /// so the estimate is bit-identical for any `workers` value — and
-    /// bit-identical to the narrow and scalar twins.
+    /// The one Monte-Carlo executor: claims `chunk`-sized spans of the
+    /// plan's wide blocks from the shared `cursor` until it is exhausted,
+    /// and accumulates the claimed blocks. Per block it resamples the
+    /// plan's sampler slots, copies the plan's table words, packs every
+    /// slot the table does not hold through the dispatched kernel, and
+    /// records the masked popcount.
+    ///
+    /// Any set of callers sharing one cursor (fresh at 0) partitions the
+    /// block range exactly once, and because a block's successes depend
+    /// only on `(plan, block)` the merged [`McAccum`] is bit-identical to
+    /// a single caller's — pass `chunk = wide_block_count(samples)` to
+    /// run the whole plan inline.
+    ///
+    /// # Panics
+    /// On `samples == 0`, on a plan carrying both a table and a sampler,
+    /// and on a table whose slot count or `(seed, samples)` grid differs
+    /// from the program's and the plan's.
+    pub fn execute(
+        &self,
+        plan: &McPlan,
+        cursor: &AtomicU64,
+        chunk: u64,
+        scratch: &mut McScratch,
+    ) -> McAccum {
+        assert!(plan.samples > 0, "need at least one sample");
+        assert!(
+            plan.table.is_none() || plan.sampler.is_none(),
+            "a posterior plan resamples thresholds per block; a draw table cannot cache them"
+        );
+        let McScratch {
+            words,
+            fresh,
+            draws,
+        } = scratch;
+        draws.clear();
+        draws.extend_from_slice(&self.draws);
+        if let Some(probs) = plan.probs {
+            for (draw, &comp) in draws.iter_mut().zip(&self.slot_comp) {
+                draw.threshold = threshold_for(probs[comp as usize]);
+            }
+        }
+        words.resize(draws.len() * WIDE_WORDS, 0);
+        fresh.clear();
+        match plan.table {
+            Some(table) => {
+                assert_eq!(table.keys.len(), draws.len(), "draw table shape mismatch");
+                assert_eq!(
+                    (table.seed, table.samples),
+                    (plan.seed, plan.samples),
+                    "draw table grid mismatch"
+                );
+                let stale = |slot: &u32| {
+                    let draw = &draws[*slot as usize];
+                    table.keys[*slot as usize] != (draw.stream, draw.threshold)
+                };
+                fresh.extend((0..draws.len() as u32).filter(stale));
+            }
+            None => fresh.extend(0..draws.len() as u32),
+        }
+        let reused_per_block = ((draws.len() - fresh.len()) * WIDE_WORDS) as u64;
+        let pack = pack_slots_fn();
+        let wide_blocks = wide_block_count(plan.samples);
+        let chunk = chunk.max(1);
+        let mut accum = McAccum::default();
+        loop {
+            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if lo >= wide_blocks {
+                break;
+            }
+            for wide_block in lo..lo.saturating_add(chunk).min(wide_blocks) {
+                if let Some(sampler) = plan.sampler {
+                    sampler.resample(plan.seed, wide_block, draws);
+                }
+                if let Some(table) = plan.table {
+                    // Copy every slot; the fresh ones are re-packed over
+                    // their stale words just below.
+                    let block = wide_block as usize * WIDE_WORDS;
+                    for (slot, out) in words.chunks_exact_mut(WIDE_WORDS).enumerate() {
+                        let src = slot * table.words_per_slot + block;
+                        out.copy_from_slice(&table.words[src..src + WIDE_WORDS]);
+                    }
+                }
+                let base_trial = wide_block * WIDE_TRIALS as u64;
+                pack_with(pack, draws, fresh, plan.seed, base_trial, words);
+                let ok = self.masked_successes(words, base_trial, plan.samples);
+                accum.record(ok, base_trial as usize + WIDE_TRIALS <= plan.samples);
+                accum.reused_words += reused_per_block;
+            }
+        }
+        accum
+    }
+
+    /// Fans `plan` over `workers` scoped threads (0 = available
+    /// parallelism) sharing one work-stealing cursor, one scratch per
+    /// worker; one worker (or one block) runs inline with no spawn.
+    fn fan_out(&self, plan: &McPlan, workers: usize) -> McAccum {
+        let wide_blocks = wide_block_count(plan.samples);
+        let workers = resolve_workers(workers).min(wide_blocks as usize).max(1);
+        let cursor = AtomicU64::new(0);
+        if workers == 1 {
+            return self.execute(plan, &cursor, wide_blocks, &mut self.scratch());
+        }
+        let chunk = steal_chunk(wide_blocks, workers);
+        crossbeam::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|_| self.execute(plan, &cursor, chunk, &mut self.scratch())))
+                .collect();
+            let mut accum = McAccum::default();
+            for handle in handles {
+                accum.merge(&handle.join().expect("worker panicked"));
+            }
+            accum
+        })
+        .expect("crossbeam scope")
+    }
+
+    /// Bit-sliced parallel Monte-Carlo run of the point plan: exactly
+    /// `samples` trials over 512-trial wide blocks, fanned over `workers`
+    /// threads (0 = available parallelism). Deterministic: the estimate
+    /// is bit-identical for any `workers` value, and to
+    /// [`montecarlo::estimate`](crate::montecarlo::estimate) over the
+    /// same path sets.
     pub fn run(&self, samples: usize, workers: usize, seed: u64) -> MonteCarloResult {
         assert!(samples > 0, "need at least one sample");
         if let Some(estimate) = self.constant_estimate() {
@@ -811,69 +875,8 @@ impl McProgram {
                 samples,
             };
         }
-        let wide_blocks = wide_block_count(samples);
-        let workers = resolve_workers(workers).min(wide_blocks as usize).max(1);
-        let cursor = AtomicU64::new(0);
-        if workers == 1 {
-            let mut scratch = self.scratch();
-            let successes = self.run_partial(samples, seed, &cursor, wide_blocks, &mut scratch);
-            return result_from(successes, samples);
-        }
-        let chunk = steal_chunk(wide_blocks, workers);
-        let successes: u64 = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut scratch = self.scratch();
-                        self.run_partial(samples, seed, &cursor, chunk, &mut scratch)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .sum()
-        })
-        .expect("crossbeam scope");
-        result_from(successes, samples)
-    }
-
-    /// Work-stealing partial run: claims `chunk`-sized spans of the
-    /// `samples`-trial grid's wide blocks from the shared `cursor` until
-    /// it is exhausted, returning the successes of the claimed blocks.
-    /// Any set of callers sharing one cursor — scoped threads inside
-    /// [`run`](McProgram::run), or the engine's persistent worker pool —
-    /// partitions the block range exactly once, and because summation
-    /// over blocks is partition-invariant the summed total is
-    /// bit-identical to a single-threaded run. Reduce the summed total
-    /// with [`mc_result_from`].
-    pub fn run_partial(
-        &self,
-        samples: usize,
-        seed: u64,
-        cursor: &AtomicU64,
-        chunk: u64,
-        scratch: &mut McScratch,
-    ) -> u64 {
-        let chunk = chunk.max(1);
-        let wide_blocks = wide_block_count(samples);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        // No table here: every slot packs fresh.
-        scratch.fresh.extend(0..self.draws.len() as u32);
-        let mut ok = 0u64;
-        loop {
-            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= wide_blocks {
-                break;
-            }
-            let hi = (lo + chunk).min(wide_blocks);
-            for wide_block in lo..hi {
-                ok += self.wide_successes(seed, wide_block, samples, pack, scratch);
-            }
-        }
-        ok
+        self.fan_out(&McPlan::new(samples, seed), workers)
+            .result(samples)
     }
 
     /// Binds per-model-component posteriors (as produced by
@@ -890,61 +893,6 @@ impl McProgram {
             }
         }
         PosteriorSampler { slots }
-    }
-
-    /// The posterior-resampling twin of
-    /// [`run_partial`](McProgram::run_partial): before packing each wide
-    /// block, the `sampler`'s slots redraw their availability from the
-    /// parameter posterior (counter-based on `(seed, block, component)`),
-    /// so the 512 trials of a block share one parameter draw and blocks
-    /// are independent draws from the posterior predictive distribution.
-    /// Block successes fold into `accum` instead of a bare sum so the
-    /// caller can form the predictive interval; partition invariance
-    /// holds exactly as for `run_partial` (merge the accumulators in any
-    /// order). With an empty sampler every threshold stays at its point
-    /// estimate and the evaluated bits are identical to `run_partial`.
-    pub fn run_posterior_partial(
-        &self,
-        samples: usize,
-        seed: u64,
-        cursor: &AtomicU64,
-        chunk: u64,
-        scratch: &mut McScratch,
-        sampler: &PosteriorSampler,
-        accum: &mut PosteriorAccum,
-    ) {
-        let chunk = chunk.max(1);
-        let wide_blocks = wide_block_count(samples);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..self.draws.len() as u32);
-        let mut draws = std::mem::take(&mut scratch.draws);
-        draws.clear();
-        draws.extend_from_slice(&self.draws);
-        loop {
-            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= wide_blocks {
-                break;
-            }
-            let hi = (lo + chunk).min(wide_blocks);
-            for wide_block in lo..hi {
-                sampler.resample(seed, wide_block, &mut draws);
-                let base_trial = wide_block * WIDE_TRIALS as u64;
-                pack_with(
-                    pack,
-                    &draws,
-                    &scratch.fresh,
-                    seed,
-                    base_trial,
-                    &mut scratch.words,
-                );
-                let ok = self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples);
-                let full = base_trial as usize + WIDE_TRIALS <= samples;
-                accum.record(ok, full);
-            }
-        }
-        scratch.draws = draws;
     }
 
     /// Posterior-resampled parallel run: like [`run`](McProgram::run),
@@ -970,112 +918,18 @@ impl McProgram {
             };
             return (result, (estimate, estimate));
         }
-        let wide_blocks = wide_block_count(samples);
-        let workers = resolve_workers(workers).min(wide_blocks as usize).max(1);
-        let cursor = AtomicU64::new(0);
-        let mut accum = PosteriorAccum::default();
-        if workers == 1 {
-            let mut scratch = self.scratch();
-            self.run_posterior_partial(
-                samples,
-                seed,
-                &cursor,
-                wide_blocks,
-                &mut scratch,
-                sampler,
-                &mut accum,
-            );
-        } else {
-            let chunk = steal_chunk(wide_blocks, workers);
-            let partials: Vec<PosteriorAccum> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut scratch = self.scratch();
-                            let mut part = PosteriorAccum::default();
-                            self.run_posterior_partial(
-                                samples,
-                                seed,
-                                &cursor,
-                                chunk,
-                                &mut scratch,
-                                sampler,
-                                &mut part,
-                            );
-                            part
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .collect()
-            })
-            .expect("crossbeam scope");
-            for part in &partials {
-                accum.merge(part);
-            }
-        }
-        (accum.result(samples), accum.interval95(samples))
-    }
-
-    /// The campaign twin of [`run_posterior`]: prices a perturbed
-    /// probability vector (scratch-held threshold overlay, exactly like
-    /// [`run_thresholds`](McProgram::run_thresholds)) while the
-    /// `sampler`'s slots resample per block *on top of* the overlay.
-    /// The sampler must not cover perturbed components — a perturbation
-    /// overrides an observation — which the caller enforces by blanking
-    /// those entries before [`posterior_sampler`](McProgram::posterior_sampler).
-    /// Single-threaded (campaign workers parallelize across scenarios).
-    pub fn run_posterior_thresholds(
-        &self,
-        probs: &[f64],
-        samples: usize,
-        seed: u64,
-        sampler: &PosteriorSampler,
-        scratch: &mut McScratch,
-    ) -> (MonteCarloResult, (f64, f64)) {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            let result = MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-            return (result, (estimate, estimate));
-        }
-        let mut draws = std::mem::take(&mut scratch.draws);
-        self.overlay_thresholds(probs, &mut draws);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..draws.len() as u32);
-        let wide_blocks = samples.div_ceil(WIDE_TRIALS);
-        let mut accum = PosteriorAccum::default();
-        for wide_block in 0..wide_blocks {
-            sampler.resample(seed, wide_block as u64, &mut draws);
-            let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            pack_with(
-                pack,
-                &draws,
-                &scratch.fresh,
-                seed,
-                base_trial,
-                &mut scratch.words,
-            );
-            let ok = self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples);
-            accum.record(ok, base_trial as usize + WIDE_TRIALS <= samples);
-        }
-        scratch.draws = draws;
+        let plan = McPlan {
+            sampler: Some(sampler),
+            ..McPlan::new(samples, seed)
+        };
+        let accum = self.fan_out(&plan, workers);
         (accum.result(samples), accum.interval95(samples))
     }
 
     /// Packs every slot's draw words for the whole `(seed, samples)`
-    /// grid once. The resulting table backs
-    /// [`run_with_table`](McProgram::run_with_table) — re-evaluating
-    /// this program (or a [`with_thresholds`](McProgram::with_thresholds)
-    /// rewrite of it) against the table skips the mix work of every slot
-    /// whose key still matches.
+    /// grid once. A plan carrying the table — over this program, with
+    /// or without a [`probs`](McPlan::probs) overlay — skips the mix
+    /// work of every slot whose key still matches.
     pub fn draw_table(&self, samples: usize, seed: u64) -> DrawTable {
         assert!(samples > 0, "need at least one sample");
         let pack = pack_slots_fn();
@@ -1088,279 +942,22 @@ impl McProgram {
             keys: self.draws.iter().map(|d| (d.stream, d.threshold)).collect(),
             words: vec![0; self.draws.len() * words_per_slot],
         };
-        let mut scratch = self.scratch();
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..self.draws.len() as u32);
+        let all: Vec<u32> = (0..self.draws.len() as u32).collect();
+        let mut words = vec![0; self.draws.len() * WIDE_WORDS];
         for wide_block in 0..wide_blocks {
             let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            pack_with(
-                pack,
-                &self.draws,
-                &scratch.fresh,
-                seed,
-                base_trial,
-                &mut scratch.words,
-            );
-            for slot in 0..self.draws.len() {
-                let src = &scratch.words[slot * WIDE_WORDS..][..WIDE_WORDS];
+            pack_with(pack, &self.draws, &all, seed, base_trial, &mut words);
+            for (slot, src) in words.chunks_exact(WIDE_WORDS).enumerate() {
                 let dst_lo = slot * words_per_slot + wide_block * WIDE_WORDS;
                 table.words[dst_lo..dst_lo + WIDE_WORDS].copy_from_slice(src);
             }
         }
         table
     }
-
-    /// Single-threaded run against a shared [`DrawTable`]: slots whose
-    /// `(stream, threshold)` key matches the table reuse its packed
-    /// words; everything else (the perturbed components of a scenario)
-    /// is packed fresh. Returns the result plus the number of `u64`
-    /// draw words served from the table. **The table is a cache, not a
-    /// semantic input**: the result is bit-identical to
-    /// `self.run(table.samples(), 1, table.seed())`.
-    ///
-    /// The program must be shape-compatible with the table (same slot
-    /// list — i.e. this program or a `with_thresholds` rewrite of the
-    /// one that built it).
-    pub fn run_with_table(
-        &self,
-        table: &DrawTable,
-        scratch: &mut McScratch,
-    ) -> (MonteCarloResult, u64) {
-        let McScratch { words, fresh, .. } = scratch;
-        self.table_run(&self.draws, table, words, fresh)
-    }
-
-    /// The clone-free twin of
-    /// `self.with_thresholds(probs).run_with_table(table, scratch)`: the
-    /// threshold overlay is written into a scratch-held draw vector
-    /// instead of a cloned program, so an N-scenario
-    /// common-random-number sweep allocates nothing per scenario once
-    /// its worker's scratch is warm. Bit-identical to the
-    /// clone-then-run form, including the reused-word count.
-    pub fn run_with_table_thresholds(
-        &self,
-        table: &DrawTable,
-        probs: &[f64],
-        scratch: &mut McScratch,
-    ) -> (MonteCarloResult, u64) {
-        let mut draws = std::mem::take(&mut scratch.draws);
-        self.overlay_thresholds(probs, &mut draws);
-        let McScratch { words, fresh, .. } = scratch;
-        let out = self.table_run(&draws, table, words, fresh);
-        scratch.draws = draws;
-        out
-    }
-
-    /// The clone-free twin of
-    /// `self.with_thresholds(probs).run(samples, 1, seed)` — the
-    /// no-table fallback of campaign pricing. Single-threaded (campaign
-    /// workers parallelize across scenarios), reusing `scratch` for the
-    /// overlaid draw vector and the packed words. Bit-identical to the
-    /// clone-then-run form.
-    pub fn run_thresholds(
-        &self,
-        probs: &[f64],
-        samples: usize,
-        seed: u64,
-        scratch: &mut McScratch,
-    ) -> MonteCarloResult {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            return MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-        }
-        let mut draws = std::mem::take(&mut scratch.draws);
-        self.overlay_thresholds(probs, &mut draws);
-        let pack = pack_slots_fn();
-        scratch.ensure(self);
-        scratch.fresh.clear();
-        scratch.fresh.extend(0..draws.len() as u32);
-        let wide_blocks = samples.div_ceil(WIDE_TRIALS);
-        let mut successes = 0u64;
-        for wide_block in 0..wide_blocks {
-            let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            pack_with(
-                pack,
-                &draws,
-                &scratch.fresh,
-                seed,
-                base_trial,
-                &mut scratch.words,
-            );
-            successes += self.masked_successes(&scratch.words, WIDE_WORDS, base_trial, samples);
-        }
-        scratch.draws = draws;
-        result_from(successes, samples)
-    }
-
-    /// Fills `draws` with this program's slots, thresholds rewritten
-    /// from `probs` (indexed by model component) — the allocation-free
-    /// core of [`with_thresholds`](McProgram::with_thresholds).
-    fn overlay_thresholds(&self, probs: &[f64], draws: &mut Vec<CompDraw>) {
-        draws.clear();
-        draws.extend_from_slice(&self.draws);
-        for (slot, &comp) in self.slot_comp.iter().enumerate() {
-            draws[slot].threshold = threshold_for(probs[comp as usize]);
-        }
-    }
-
-    /// Shared core of the draw-table runs: evaluates this program's
-    /// structure function over `draws` (either `self.draws` or a
-    /// threshold overlay of them) against the table.
-    fn table_run(
-        &self,
-        draws: &[CompDraw],
-        table: &DrawTable,
-        words: &mut Vec<u64>,
-        fresh: &mut Vec<u32>,
-    ) -> (MonteCarloResult, u64) {
-        assert_eq!(
-            draws.len(),
-            table.keys.len(),
-            "draw table shape mismatch: {} slots vs {}",
-            draws.len(),
-            table.keys.len()
-        );
-        let samples = table.samples;
-        if let Some(estimate) = self.constant_estimate() {
-            return (
-                MonteCarloResult {
-                    estimate,
-                    std_error: 0.0,
-                    samples,
-                },
-                0,
-            );
-        }
-        let pack = pack_slots_fn();
-        words.resize(draws.len() * WIDE_WORDS, 0);
-        fresh.clear();
-        let mut cached_slots = 0u64;
-        for (slot, draw) in draws.iter().enumerate() {
-            if table.keys[slot] == (draw.stream, draw.threshold) {
-                cached_slots += 1;
-            } else {
-                fresh.push(slot as u32);
-            }
-        }
-        let wide_blocks = samples.div_ceil(WIDE_TRIALS);
-        let mut successes = 0u64;
-        for wide_block in 0..wide_blocks {
-            let base_trial = (wide_block * WIDE_TRIALS) as u64;
-            for (slot, draw) in draws.iter().enumerate() {
-                if table.keys[slot] == (draw.stream, draw.threshold) {
-                    let src_lo = slot * table.words_per_slot + wide_block * WIDE_WORDS;
-                    words[slot * WIDE_WORDS..][..WIDE_WORDS]
-                        .copy_from_slice(&table.words[src_lo..src_lo + WIDE_WORDS]);
-                }
-            }
-            pack_with(pack, draws, fresh, seed_of(table), base_trial, words);
-            successes += self.masked_successes(words, WIDE_WORDS, base_trial, samples);
-        }
-        let reused_words = cached_slots * wide_blocks as u64 * WIDE_WORDS as u64;
-        (result_from(successes, samples), reused_words)
-    }
-
-    /// The one-word-at-a-time twin of [`run`](McProgram::run): the
-    /// pre-wide-kernel executor, kept as a differential-testing reference
-    /// — identical draws, identical structure function, 64 trials per
-    /// step. The two must agree bit-for-bit.
-    pub fn run_narrow(&self, samples: usize, workers: usize, seed: u64) -> MonteCarloResult {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            return MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-        }
-        let blocks = samples.div_ceil(64) as u64;
-        let workers = resolve_workers(workers).min(blocks as usize).max(1);
-        let narrow_span = |words: &mut Vec<u64>, lo: u64, hi: u64| {
-            let mut ok = 0u64;
-            for block in lo..hi {
-                let base_trial = block * 64;
-                for (slot, draw) in self.draws.iter().enumerate() {
-                    words[slot] = draw.pack(seed, base_trial);
-                }
-                let lanes = samples - block as usize * 64;
-                let mask = if lanes >= 64 {
-                    !0u64
-                } else {
-                    (1u64 << lanes) - 1
-                };
-                ok += u64::from((self.service_word(words, 0, 1) & mask).count_ones());
-            }
-            ok
-        };
-        let successes: u64 = if workers == 1 {
-            let mut words = vec![0u64; self.draws.len()];
-            narrow_span(&mut words, 0, blocks)
-        } else {
-            let cursor = AtomicU64::new(0);
-            let chunk = steal_chunk(blocks, workers);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|_| {
-                            let mut words = vec![0u64; self.draws.len()];
-                            let mut ok = 0u64;
-                            loop {
-                                let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-                                if lo >= blocks {
-                                    break;
-                                }
-                                ok += narrow_span(&mut words, lo, (lo + chunk).min(blocks));
-                            }
-                            ok
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker panicked"))
-                    .sum()
-            })
-            .expect("crossbeam scope")
-        };
-        result_from(successes, samples)
-    }
-
-    /// The trial-at-a-time twin of [`run`](McProgram::run): identical
-    /// draws (same counter-based coordinates), identical structure
-    /// function, one trial per iteration. Exists to differential-test the
-    /// bit-sliced executors — all must agree bit-for-bit.
-    pub fn run_scalar(&self, samples: usize, seed: u64) -> MonteCarloResult {
-        assert!(samples > 0, "need at least one sample");
-        if let Some(estimate) = self.constant_estimate() {
-            return MonteCarloResult {
-                estimate,
-                std_error: 0.0,
-                samples,
-            };
-        }
-        let mut successes = 0u64;
-        for trial in 0..samples as u64 {
-            let service_up = self.pairs.iter().all(|&(pair_lo, pair_hi)| {
-                self.paths[pair_lo as usize..pair_hi as usize]
-                    .iter()
-                    .any(|&(lo, hi)| {
-                        self.path_slots[lo as usize..hi as usize]
-                            .iter()
-                            .all(|&slot| self.draws[slot as usize].up(seed, trial))
-                    })
-            });
-            successes += u64::from(service_up);
-        }
-        result_from(successes, samples)
-    }
 }
 
 /// Number of 512-trial wide blocks a `samples`-trial run covers — the
-/// unit of [`McProgram::run_partial`] work-stealing.
+/// unit of [`McProgram::execute`] work-stealing.
 pub fn wide_block_count(samples: usize) -> u64 {
     samples.div_ceil(WIDE_TRIALS) as u64
 }
@@ -1374,13 +971,6 @@ pub fn steal_chunk(blocks: u64, workers: usize) -> u64 {
     (blocks / (workers.max(1) as u64 * 8)).clamp(1, 64)
 }
 
-/// Reduces the summed successes of a [`McProgram::run_partial`] fan-out
-/// (or any other partition of a `samples`-trial grid) to the result
-/// [`McProgram::run`] would return.
-pub fn mc_result_from(successes: u64, samples: usize) -> MonteCarloResult {
-    result_from(successes, samples)
-}
-
 /// `0` means "use every core the host offers".
 fn resolve_workers(workers: usize) -> usize {
     if workers == 0 {
@@ -1392,23 +982,11 @@ fn resolve_workers(workers: usize) -> usize {
     }
 }
 
-/// Borrow-friendly accessor (keeps `table_run`'s call shape tidy).
-fn seed_of(table: &DrawTable) -> u64 {
-    table.seed
-}
-
-fn result_from(successes: u64, samples: usize) -> MonteCarloResult {
-    let estimate = successes as f64 / samples as f64;
-    MonteCarloResult {
-        estimate,
-        std_error: (estimate * (1.0 - estimate) / samples as f64).sqrt(),
-        samples,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::montecarlo::estimate;
+    use crate::params::GammaPosterior;
     use crate::sdp::union_probability;
 
     fn compile(p: &[f64], systems: &[Vec<Vec<usize>>]) -> McProgram {
@@ -1417,6 +995,12 @@ mod tests {
 
     fn compile_unfolded(p: &[f64], systems: &[Vec<Vec<usize>>]) -> McProgram {
         McProgram::compile_unfolded(p, systems.iter().map(Vec::as_slice))
+    }
+
+    /// Runs a whole plan inline on one fresh cursor.
+    fn execute(program: &McProgram, plan: &McPlan) -> McAccum {
+        let blocks = wide_block_count(plan.samples);
+        program.execute(plan, &AtomicU64::new(0), blocks, &mut program.scratch())
     }
 
     #[test]
@@ -1432,22 +1016,16 @@ mod tests {
     }
 
     #[test]
-    fn wide_equals_narrow_and_scalar_twins_exactly() {
+    fn wide_equals_the_reference_sampler_exactly() {
         let p = [0.9, 0.8, 0.7];
         let systems = vec![vec![vec![0, 1], vec![0, 2]]];
         let program = compile(&p, &systems);
         for samples in [1, 63, 64, 65, 511, 512, 513, 1000, 4099] {
             for seed in [0, 7, 2013] {
-                let wide = program.run(samples, 3, seed);
                 assert_eq!(
-                    wide,
-                    program.run_narrow(samples, 2, seed),
-                    "narrow twin diverged at samples={samples} seed={seed}"
-                );
-                assert_eq!(
-                    wide,
-                    program.run_scalar(samples, seed),
-                    "scalar twin diverged at samples={samples} seed={seed}"
+                    program.run(samples, 3, seed),
+                    estimate(&p, &systems, samples, 2, seed),
+                    "wide kernel diverged at samples={samples} seed={seed}"
                 );
             }
         }
@@ -1503,14 +1081,19 @@ mod tests {
             compile(&p, &[vec![vec![0, 2], vec![2]]]).constant_estimate(),
             Some(0.0)
         );
-        // The constants run without sampling and with zero error.
+        // The constants run without sampling and with zero error, and
+        // executing them block by block lands on the same bits.
         let dead = compile(&p, &[vec![]]).run(1000, 2, 1);
         assert_eq!(
             (dead.estimate, dead.std_error, dead.samples),
             (0.0, 0.0, 1000)
         );
-        let up = compile(&p, &[]).run_scalar(1000, 1);
-        assert_eq!(up.estimate, 1.0);
+        for systems in [vec![], vec![vec![]], vec![vec![vec![0, 2], vec![2]]]] {
+            let program = compile(&p, &systems);
+            let executed = execute(&program, &McPlan::new(1000, 1)).result(1000);
+            assert_eq!(executed, program.run(1000, 1, 1));
+            assert_eq!(executed, estimate(&p, &systems, 1000, 1, 1));
+        }
     }
 
     #[test]
@@ -1518,8 +1101,9 @@ mod tests {
         // The unfolded program keeps degenerate components as 0 / MAX
         // sentinel slots; the estimates must match the folded constants.
         let p = [0.5, 1.0, 0.0];
-        let folded = compile(&p, &[vec![vec![0, 1], vec![2]]]);
-        let unfolded = compile_unfolded(&p, &[vec![vec![0, 1], vec![2]]]);
+        let systems = vec![vec![vec![0, 1], vec![2]]];
+        let folded = compile(&p, &systems);
+        let unfolded = compile_unfolded(&p, &systems);
         assert_eq!(unfolded.component_count(), 3, "no slot folded away");
         for seed in [1, 9] {
             assert_eq!(
@@ -1528,8 +1112,8 @@ mod tests {
             );
             assert_eq!(
                 unfolded.run(4096, 3, seed),
-                unfolded.run_scalar(4096, seed),
-                "unfolded wide/scalar twins must agree"
+                estimate(&p, &systems, 4096, 1, seed),
+                "unfolded kernel and reference sampler must agree"
             );
         }
         // A dead path (p=0 member) contributes nothing either way.
@@ -1538,15 +1122,24 @@ mod tests {
     }
 
     #[test]
-    fn with_thresholds_rewrites_only_probabilities() {
-        let p = [0.9, 0.8, 0.7];
-        let systems = vec![vec![vec![0, 1], vec![0, 2]]];
+    fn probability_overlay_equals_a_direct_compile() {
+        let p = [0.9, 0.8, 0.7, 0.6];
+        let systems = vec![vec![vec![0, 1], vec![0, 2]], vec![vec![3, 0]]];
         let base = compile_unfolded(&p, &systems);
         // Kill component 1, degrade component 2.
-        let perturbed = base.with_thresholds(&[0.9, 0.0, 0.35]);
-        let direct = compile_unfolded(&[0.9, 0.0, 0.35], &systems);
-        for seed in [2, 2013] {
-            assert_eq!(perturbed.run(8192, 2, seed), direct.run(8192, 2, seed));
+        let probs = [0.9, 0.0, 0.35, 0.6];
+        let direct = compile_unfolded(&probs, &systems);
+        let mut scratch = base.scratch();
+        for (samples, seed) in [(5000, 77), (512, 3), (8191, 2013)] {
+            let plan = McPlan {
+                probs: Some(&probs),
+                ..McPlan::new(samples, seed)
+            };
+            // One scratch serves every plan back to back.
+            let blocks = wide_block_count(samples);
+            let overlaid = base.execute(&plan, &AtomicU64::new(0), blocks, &mut scratch);
+            assert_eq!(overlaid.result(samples), direct.run(samples, 1, seed));
+            assert_eq!(overlaid.reused_words, 0, "no table, nothing reused");
         }
         // The base program is untouched.
         assert_eq!(base, compile_unfolded(&p, &systems));
@@ -1560,54 +1153,52 @@ mod tests {
         // 5000 samples straddles several wide blocks with a ragged tail.
         let table = base.draw_table(5000, 77);
         assert_eq!(table.word_count(), base.table_words(5000));
-        let mut scratch = base.scratch();
+        assert_eq!((table.seed(), table.samples()), (77, 5000));
+        let cached = McPlan {
+            table: Some(&table),
+            ..McPlan::new(5000, 77)
+        };
 
         // Unperturbed: everything reused, result identical to `run`.
-        let (same, reused) = base.run_with_table(&table, &mut scratch);
-        assert_eq!(same, base.run(5000, 1, 77));
-        assert_eq!(reused, base.table_words(5000) as u64);
+        let same = execute(&base, &cached);
+        assert_eq!(same.result(5000), base.run(5000, 1, 77));
+        assert_eq!(same.reused_words, base.table_words(5000) as u64);
 
-        // Perturbed: only untouched slots reused, result identical to a
-        // fresh run of the rewritten program under the same seed.
-        let rewritten = base.with_thresholds(&[0.9, 0.0, 0.35, 0.6]);
-        let (perturbed, reused) = rewritten.run_with_table(&table, &mut scratch);
-        assert_eq!(perturbed, rewritten.run(5000, 1, 77));
+        // Perturbed: only untouched slots reused, result identical to the
+        // uncached plan under the same seed.
+        let probs = [0.9, 0.0, 0.35, 0.6];
+        let perturbed = execute(
+            &base,
+            &McPlan {
+                probs: Some(&probs),
+                ..cached
+            },
+        );
+        let uncached = execute(
+            &base,
+            &McPlan {
+                probs: Some(&probs),
+                ..McPlan::new(5000, 77)
+            },
+        );
+        assert_eq!(perturbed.result(5000), uncached.result(5000));
         // Slots 0 and 3 kept their thresholds: half the table reused.
-        assert_eq!(reused, (base.table_words(5000) / 2) as u64);
+        assert_eq!(perturbed.reused_words, (base.table_words(5000) / 2) as u64);
     }
 
     #[test]
-    fn threshold_overlay_runs_match_the_cloned_program() {
-        let p = [0.9, 0.8, 0.7, 0.6];
-        let systems = vec![vec![vec![0, 1], vec![0, 2]], vec![vec![3, 0]]];
-        let base = compile_unfolded(&p, &systems);
-        let probs = [0.9, 0.0, 0.35, 0.6];
-        let rewritten = base.with_thresholds(&probs);
-        let mut scratch = base.scratch();
-
-        // No-table path: same bits as clone-then-run, scratch reusable.
-        for (samples, seed) in [(5000, 77), (512, 3), (8191, 2013)] {
-            assert_eq!(
-                base.run_thresholds(&probs, samples, seed, &mut scratch),
-                rewritten.run(samples, 1, seed),
-                "run_thresholds diverged at samples={samples} seed={seed}"
-            );
-        }
-
-        // Table path: same bits AND the same reused-word count.
-        let table = base.draw_table(5000, 77);
-        let mut clone_scratch = base.scratch();
-        let expected = rewritten.run_with_table(&table, &mut clone_scratch);
-        assert_eq!(
-            base.run_with_table_thresholds(&table, &probs, &mut scratch),
-            expected
-        );
-        // An identity overlay reuses the whole table.
-        let (same, reused) = base.run_with_table_thresholds(&table, &p, &mut scratch);
-        assert_eq!(same, base.run(5000, 1, 77));
-        assert_eq!(reused, base.table_words(5000) as u64);
-        // The base program is untouched by any of it.
-        assert_eq!(base, compile_unfolded(&p, &systems));
+    #[should_panic(expected = "draw table cannot cache")]
+    fn a_plan_with_table_and_sampler_is_rejected() {
+        let p = [0.9, 0.8];
+        let program = compile_unfolded(&p, &[vec![vec![0], vec![1]]]);
+        let table = program.draw_table(600, 1);
+        let sampler = program.posterior_sampler(&[None, None]);
+        let plan = McPlan {
+            table: Some(&table),
+            sampler: Some(&sampler),
+            ..McPlan::new(600, 1)
+        };
+        execute(&program, &plan);
     }
 
     #[test]
@@ -1616,47 +1207,46 @@ mod tests {
         let systems = vec![vec![vec![0, 1], vec![0, 2]]];
         let program = compile(&p, &systems);
         // workers > blocks (600 samples = 2 wide blocks), workers == 1,
-        // and ragged tails must all agree with the twins.
+        // and ragged tails must all agree with the reference sampler.
         for (samples, workers) in [(600, 8), (600, 1), (513, 64), (4099, 7)] {
-            let wide = program.run(samples, workers, 11);
             assert_eq!(
-                wide,
-                program.run_narrow(samples, workers, 11),
-                "narrow diverged at samples={samples} workers={workers}"
-            );
-            assert_eq!(
-                wide,
-                program.run_scalar(samples, 11),
-                "scalar diverged at samples={samples} workers={workers}"
+                program.run(samples, workers, 11),
+                estimate(&p, &systems, samples, workers, 11),
+                "wide kernel diverged at samples={samples} workers={workers}"
             );
         }
     }
 
     #[test]
-    fn run_partial_fan_out_sums_to_run() {
+    fn execute_fan_out_merges_to_run() {
         let p = [0.9, 0.8, 0.7, 0.95];
         let systems = vec![vec![vec![0, 1], vec![0, 2]], vec![vec![3, 0]]];
         let program = compile(&p, &systems);
         let samples = 10_001;
         let reference = program.run(samples, 1, 42);
         // A pool fan-out: concurrent claimants drain one shared cursor
-        // with different chunk sizes; the summed successes must reduce to
-        // the exact single-threaded result.
+        // with different chunk sizes; the merged accumulators must reduce
+        // to the exact single-threaded result.
+        let plan = McPlan::new(samples, 42);
         for (chunk, claimants) in [(1, 4), (3, 2), (64, 5)] {
             let cursor = AtomicU64::new(0);
-            let total: u64 = crossbeam::thread::scope(|scope| {
+            let merged = crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..claimants)
                     .map(|_| {
                         scope.spawn(|_| {
-                            let mut scratch = program.scratch();
-                            program.run_partial(samples, 42, &cursor, chunk, &mut scratch)
+                            program.execute(&plan, &cursor, chunk, &mut program.scratch())
                         })
                     })
                     .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).sum()
+                let mut merged = McAccum::default();
+                for handle in handles {
+                    merged.merge(&handle.join().unwrap());
+                }
+                merged
             })
             .expect("crossbeam scope");
-            assert_eq!(mc_result_from(total, samples), reference);
+            assert_eq!(merged, execute(&program, &plan));
+            assert_eq!(merged.result(samples), reference);
         }
     }
 
@@ -1707,11 +1297,10 @@ mod tests {
         }
     }
 
-    fn diffuse_sampler(program: &McProgram, comps: usize) -> PosteriorSampler {
-        use crate::params::GammaPosterior;
-        // Loose posteriors (n = 4 pseudo-sojourns) around MTBF 3000h /
-        // MTTR 24h: availability draws visibly spread around ~0.992.
-        let post = PosteriorComponent {
+    /// Loose posteriors (n = 4 pseudo-sojourns) around MTBF 3000h /
+    /// MTTR 24h: availability draws visibly spread around ~0.992.
+    fn loose_posterior() -> PosteriorComponent {
+        PosteriorComponent {
             fail: GammaPosterior {
                 alpha: 5.0,
                 beta: 5.0 * 3000.0,
@@ -1721,8 +1310,11 @@ mod tests {
                 beta: 5.0 * 24.0,
             },
             redundant: 0,
-        };
-        program.posterior_sampler(&vec![Some(post); comps])
+        }
+    }
+
+    fn diffuse_sampler(program: &McProgram, comps: usize) -> PosteriorSampler {
+        program.posterior_sampler(&vec![Some(loose_posterior()); comps])
     }
 
     #[test]
@@ -1742,31 +1334,24 @@ mod tests {
         }
         // Pool-style partitions: arbitrary chunk sizes and claimant
         // counts must merge to the exact same accumulator.
+        let plan = McPlan {
+            sampler: Some(&sampler),
+            ..McPlan::new(samples, 42)
+        };
         for (chunk, claimants) in [(1, 4), (3, 2), (64, 5)] {
             let cursor = AtomicU64::new(0);
-            let partials: Vec<PosteriorAccum> = crossbeam::thread::scope(|scope| {
+            let partials: Vec<McAccum> = crossbeam::thread::scope(|scope| {
                 let handles: Vec<_> = (0..claimants)
                     .map(|_| {
                         scope.spawn(|_| {
-                            let mut scratch = program.scratch();
-                            let mut part = PosteriorAccum::default();
-                            program.run_posterior_partial(
-                                samples,
-                                42,
-                                &cursor,
-                                chunk,
-                                &mut scratch,
-                                &sampler,
-                                &mut part,
-                            );
-                            part
+                            program.execute(&plan, &cursor, chunk, &mut program.scratch())
                         })
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             })
             .expect("crossbeam scope");
-            let mut merged = PosteriorAccum::default();
+            let mut merged = McAccum::default();
             for part in &partials {
                 merged.merge(part);
             }
@@ -1798,43 +1383,46 @@ mod tests {
     }
 
     #[test]
-    fn posterior_thresholds_pins_perturbed_components() {
-        use crate::params::GammaPosterior;
+    fn posterior_overlay_pins_perturbed_components() {
         let p = [0.992, 0.992, 0.992];
         let systems = vec![vec![vec![0, 1], vec![0, 2]]];
         let program = compile_unfolded(&p, &systems);
-        let post = PosteriorComponent {
-            fail: GammaPosterior {
-                alpha: 5.0,
-                beta: 5.0 * 3000.0,
-            },
-            repair: GammaPosterior {
-                alpha: 5.0,
-                beta: 5.0 * 24.0,
-            },
-            redundant: 0,
-        };
-        let mut scratch = program.scratch();
+        let post = loose_posterior();
         // Kill component 1: the perturbation overrides its observation,
         // so the caller blanks its posterior before building the
         // sampler; the priced scenario must fall below the unperturbed
         // posterior estimate.
         let probs = [0.992, 0.0, 0.992];
         let sampler = program.posterior_sampler(&[Some(post), None, Some(post)]);
-        let (perturbed, interval) =
-            program.run_posterior_thresholds(&probs, 50_000, 11, &sampler, &mut scratch);
+        let overlay = McPlan {
+            probs: Some(&probs),
+            ..McPlan::new(50_000, 11)
+        };
+        let perturbed = execute(
+            &program,
+            &McPlan {
+                sampler: Some(&sampler),
+                ..overlay
+            },
+        );
+        let (estimate, interval) = (
+            perturbed.result(50_000).estimate,
+            perturbed.interval95(50_000),
+        );
         let full = program.posterior_sampler(&[Some(post); 3]);
         let (baseline, _) = program.run_posterior(50_000, 1, 11, &full);
-        assert!(perturbed.estimate < baseline.estimate);
-        assert!(interval.0 <= perturbed.estimate && perturbed.estimate <= interval.1);
-        // With an empty sampler the threshold run matches run_thresholds
-        // bit for bit.
+        assert!(estimate < baseline.estimate);
+        assert!(interval.0 <= estimate && estimate <= interval.1);
+        // With an empty sampler the overlay plan resamples nothing.
         let empty = program.posterior_sampler(&[None, None, None]);
-        let (plain, _) = program.run_posterior_thresholds(&probs, 50_000, 11, &empty, &mut scratch);
-        assert_eq!(
-            plain,
-            program.run_thresholds(&probs, 50_000, 11, &mut scratch)
+        let plain = execute(
+            &program,
+            &McPlan {
+                sampler: Some(&empty),
+                ..overlay
+            },
         );
+        assert_eq!(plain, execute(&program, &overlay));
     }
 
     #[test]

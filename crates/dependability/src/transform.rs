@@ -291,9 +291,10 @@ impl ServiceAvailabilityModel {
 
     /// Compiles the structure function **without constant folding**: the
     /// program keeps a slot for every pathed component, so scenario
-    /// probability vectors can be swapped in via
-    /// [`McProgram::with_thresholds`] while draw words stay shareable —
-    /// the compile used by common-random-number campaign pricing.
+    /// probability vectors can be overlaid through a plan's
+    /// [`probs`](crate::mcprog::McPlan::probs) while draw words stay
+    /// shareable — the compile used by common-random-number campaign
+    /// pricing.
     pub fn compile_mc_unfolded(&self) -> McProgram {
         McProgram::compile_unfolded(
             &self.availability_vector(),
@@ -443,10 +444,11 @@ mod tests {
             "CI {:?} misses {exact}",
             mc.confidence_95()
         );
-        // The compiled program and the convenience wrapper agree, and the
-        // estimate does not depend on the worker count.
+        // The compiled program, the convenience wrapper and the
+        // trial-at-a-time reference sampler agree, and the estimate does
+        // not depend on the worker count.
         assert_eq!(mc, model.monte_carlo_bitsliced(200_000, 1, 5));
-        assert_eq!(mc, program.run_scalar(200_000, 5));
+        assert_eq!(mc, model.monte_carlo(200_000, 2, 5));
     }
 
     #[test]

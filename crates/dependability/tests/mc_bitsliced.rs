@@ -2,14 +2,25 @@
 //! ([`dependability::McProgram`]) on full pipeline-built models:
 //!
 //! * property: on random generated campuses the bit-sliced run agrees
-//!   **exactly** (bit for bit) with its trial-at-a-time scalar twin, and
-//!   the estimate is invariant under the worker count,
+//!   **exactly** (bit for bit) with the trial-at-a-time reference sampler
+//!   [`dependability::montecarlo::estimate`], and the estimate is
+//!   invariant under the worker count,
+//! * property: every legal [`McPlan`] — with or without a probability
+//!   overlay, a draw table or a posterior sampler — executes to the same
+//!   accumulator under any adversarial split of its blocks,
 //! * statistics: over all 45 USI printing perspectives the 95% CI of a
 //!   200 000-sample run covers the BDD-exact availability for (almost)
 //!   every perspective — the E-series entry in EXPERIMENTS.md records
 //!   the deterministic outcome for the committed seed.
 
+use std::sync::atomic::AtomicU64;
+
+use dependability::mcprog::WIDE_WORDS;
+use dependability::montecarlo::estimate;
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
+use dependability::{
+    wide_block_count, GammaPosterior, McAccum, McPlan, McProgram, PosteriorComponent,
+};
 use netgen::campus::{campus_scenario, CampusParams};
 use netgen::usi::{all_printing_perspectives, printing_service, usi_infrastructure};
 use proptest::prelude::*;
@@ -23,6 +34,10 @@ fn campus_model(params: CampusParams) -> ServiceAvailabilityModel {
         UpsimPipeline::new(infra, service, mapping).expect("campus models are consistent");
     let run = pipeline.run().expect("campus pipeline runs");
     ServiceAvailabilityModel::from_run(pipeline.infrastructure(), &run, AnalysisOptions::default())
+}
+
+fn path_systems(model: &ServiceAvailabilityModel) -> Vec<Vec<Vec<usize>>> {
+    model.systems.iter().map(|s| s.path_sets.clone()).collect()
 }
 
 /// Small random campus shapes (kept modest so 64 cases stay fast).
@@ -49,79 +64,160 @@ fn params_strategy() -> impl Strategy<Value = CampusParams> {
         )
 }
 
+/// Sample counts biased to the ragged edges of the 512-trial block grid:
+/// a fraction of one block, exactly one block, one block plus a ragged
+/// tail, one trial short of a boundary, one trial over.
+fn ragged_samples() -> impl Strategy<Value = usize> {
+    prop_oneof![
+        1usize..=64,
+        Just(512usize),
+        513usize..=1025,
+        (1usize..=8).prop_map(|k| k * 512 - 1),
+        (1usize..=8).prop_map(|k| k * 512 + 1),
+    ]
+}
+
+/// Loose posteriors (n = 4 pseudo-sojourns) around MTBF 3000h / MTTR 24h.
+fn loose_posterior() -> PosteriorComponent {
+    PosteriorComponent {
+        fail: GammaPosterior {
+            alpha: 5.0,
+            beta: 5.0 * 3000.0,
+        },
+        repair: GammaPosterior {
+            alpha: 5.0,
+            beta: 5.0 * 24.0,
+        },
+        redundant: 0,
+    }
+}
+
+/// `claimants` scoped threads drain one shared cursor in `chunk`-block
+/// claims; their accumulators merge in join order.
+fn execute_split(program: &McProgram, plan: &McPlan, claimants: usize, chunk: u64) -> McAccum {
+    let cursor = AtomicU64::new(0);
+    crossbeam::thread::scope(|scope| {
+        let handles: Vec<_> = (0..claimants)
+            .map(|_| scope.spawn(|_| program.execute(plan, &cursor, chunk, &mut program.scratch())))
+            .collect();
+        let mut merged = McAccum::default();
+        for handle in handles {
+            merged.merge(&handle.join().expect("claimant panicked"));
+        }
+        merged
+    })
+    .expect("crossbeam scope")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The wide (512-trial-block) kernel is an exact reformulation of
     /// per-trial sampling: same draws, same structure function, same
-    /// count — for any sample count (including ragged tails) and any
-    /// worker split. Checked against both twins: the narrow
-    /// one-word-at-a-time executor (the pre-wide kernel) and the
-    /// trial-at-a-time scalar executor.
+    /// count — for any sample count (including ragged tails), any worker
+    /// split on either side, and with or without constant folding.
     #[test]
-    fn bitsliced_equals_scalar_twin_on_random_campuses(
+    fn bitsliced_equals_reference_sampler_on_random_campuses(
         params in params_strategy(),
         samples in 1usize..=2_000,
         workers in 1usize..=8,
         seed in any::<u64>(),
     ) {
-        let program = campus_model(params).compile_mc();
-        let wide = program.run(samples, workers, seed);
-        prop_assert_eq!(wide, program.run_narrow(samples, workers, seed));
-        prop_assert_eq!(wide, program.run_scalar(samples, seed));
-        // Worker-count invariance (the counter-based RNG contract).
-        prop_assert_eq!(wide, program.run(samples, 1, seed));
-    }
-
-    /// The trial-at-a-time reference sampler draws the very same
-    /// counter-based stream: `montecarlo::estimate` over the raw path
-    /// sets is bit-identical to the compiled unfolded program — at any
-    /// worker count on either side.
-    #[test]
-    fn scalar_sampler_matches_compiled_kernel_on_random_campuses(
-        params in params_strategy(),
-        samples in 1usize..=1_000,
-        workers in 1usize..=8,
-        seed in any::<u64>(),
-    ) {
         let model = campus_model(params);
-        let systems: Vec<Vec<Vec<usize>>> =
-            model.systems.iter().map(|s| s.path_sets.clone()).collect();
-        let sampled = dependability::montecarlo::estimate(
+        let wide = model.compile_mc().run(samples, workers, seed);
+        let reference = estimate(
             &model.availability_vector(),
-            &systems,
+            &path_systems(&model),
             samples,
             workers,
             seed,
         );
-        prop_assert_eq!(sampled, model.compile_mc_unfolded().run(samples, 1, seed));
+        prop_assert_eq!(wide, reference);
+        // Worker-count invariance (the counter-based RNG contract).
+        prop_assert_eq!(wide, model.compile_mc().run(samples, 1, seed));
+        prop_assert_eq!(wide, model.compile_mc_unfolded().run(samples, 1, seed));
     }
 
-    /// Adversarial worker/block splits for the work-stealing cursor:
-    /// sample counts biased to the ragged edges of the 512-trial block
-    /// grid (one block plus a lane, one trial short of a block boundary,
-    /// a single trial) and worker counts far beyond the block count, so
-    /// most steal claims come back empty. The wide run must still agree
-    /// bit for bit with the narrow and scalar twins, and with itself at
-    /// one worker.
+    /// Every legal plan over {no table, table} × {compiled thresholds,
+    /// probability overlay}, plus {no sampler, empty sampler, diffuse
+    /// sampler} without a table, under adversarial splits: claimant
+    /// counts and chunk sizes far from the block count, so most claims
+    /// come back empty or ragged. Each split run merges to exactly the
+    /// one-worker accumulator (reused-word count included); the table
+    /// reuses exactly the words of every slot the overlay left alone; and
+    /// point plans are bit-equal to the reference sampler over the
+    /// overlaid probabilities.
     #[test]
-    fn adversarial_splits_are_partition_invariant(
+    fn every_plan_is_partition_invariant_and_exact(
         params in params_strategy(),
-        samples in prop_oneof![
-            1usize..=64,               // a fraction of one block
-            Just(512usize),            // exactly one block
-            513usize..=1025,           // one block + ragged tail
-            (1usize..=8).prop_map(|k| k * 512 - 1), // one trial short
-            (1usize..=8).prop_map(|k| k * 512 + 1), // one trial over
-        ],
-        workers in prop_oneof![Just(1usize), 2usize..=64],
+        samples in ragged_samples(),
+        claimants in prop_oneof![Just(1usize), 2usize..=16],
+        chunk in prop_oneof![Just(1u64), 2u64..=5, Just(64u64)],
+        perturbed in any::<usize>(),
         seed in any::<u64>(),
     ) {
-        let program = campus_model(params).compile_mc();
-        let wide = program.run(samples, workers, seed);
-        prop_assert_eq!(wide, program.run_narrow(samples, workers, seed));
-        prop_assert_eq!(wide, program.run_scalar(samples, seed));
-        prop_assert_eq!(wide, program.run(samples, 1, seed));
+        let model = campus_model(params);
+        let systems = path_systems(&model);
+        let base = model.availability_vector();
+        // Kill one component and halve another's availability.
+        let mut overlay = base.clone();
+        let victim = perturbed % base.len();
+        overlay[victim] = 0.0;
+        let degraded = (victim + 1) % base.len();
+        overlay[degraded] *= 0.5;
+
+        let program = model.compile_mc_unfolded();
+        let table = program.draw_table(samples, seed);
+        let empty = program.posterior_sampler(&[]);
+        let diffuse = program.posterior_sampler(&vec![Some(loose_posterior()); base.len()]);
+        let one_worker = wide_block_count(samples);
+        let mut pathed: Vec<usize> = systems.iter().flatten().flatten().copied().collect();
+        pathed.sort_unstable();
+        pathed.dedup();
+
+        for probs in [None, Some(overlay.as_slice())] {
+            let point = McPlan { probs, ..McPlan::new(samples, seed) };
+            let plans = [
+                point,
+                McPlan { table: Some(&table), ..point },
+                McPlan { sampler: Some(&empty), ..point },
+                McPlan { sampler: Some(&diffuse), ..point },
+            ];
+            for plan in plans {
+                let whole = program.execute(
+                    &plan,
+                    &AtomicU64::new(0),
+                    one_worker,
+                    &mut program.scratch(),
+                );
+                prop_assert_eq!(execute_split(&program, &plan, claimants, chunk), whole);
+
+                let kept = probs.unwrap_or(&base);
+                let unchanged = pathed.iter().filter(|&&c| kept[c] == base[c]).count();
+                let reused = match plan.table {
+                    Some(_) => (unchanged * WIDE_WORDS) as u64 * one_worker,
+                    None => 0,
+                };
+                prop_assert_eq!(whole.reused_words, reused);
+
+                if plan.sampler.is_none_or(|s| s.is_empty()) {
+                    let reference = estimate(kept, &systems, samples, claimants, seed);
+                    prop_assert_eq!(whole.result(samples), reference);
+                }
+            }
+        }
+        // The thin wrappers are the same executor.
+        prop_assert_eq!(
+            program.run(samples, claimants, seed),
+            program.execute(&McPlan::new(samples, seed), &AtomicU64::new(0), one_worker,
+                &mut program.scratch()).result(samples)
+        );
+        let posterior_plan = McPlan { sampler: Some(&diffuse), ..McPlan::new(samples, seed) };
+        let accum = execute_split(&program, &posterior_plan, claimants, chunk);
+        prop_assert_eq!(
+            program.run_posterior(samples, claimants, seed, &diffuse),
+            (accum.result(samples), accum.interval95(samples))
+        );
     }
 }
 

@@ -29,7 +29,7 @@ use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender};
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
-use dependability::{mc_result_from, steal_chunk, wide_block_count};
+use dependability::{steal_chunk, wide_block_count, McAccum, McPlan};
 use upsim_campaign::{
     aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, CampaignInput,
     CampaignReport, CampaignSpec, EvalCtx,
@@ -81,6 +81,10 @@ pub enum EngineError {
     /// rejected before any state changes, so interval censoring never
     /// silently corrupts.
     NonMonotoneObservation(String),
+    /// An `UPDATE CONNECT` named two devices that are already linked.
+    /// Rejected before journaling: a parallel edge would leave
+    /// availability unchanged but inflate every path count through it.
+    AlreadyConnected(String, String),
     /// The engine is shut down (or a worker disappeared mid-request).
     Shutdown,
 }
@@ -94,6 +98,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Campaign(msg) => write!(f, "campaign error: {msg}"),
             EngineError::Persist(msg) => write!(f, "persistence error: {msg}"),
             EngineError::NonMonotoneObservation(msg) => write!(f, "{msg}"),
+            EngineError::AlreadyConnected(a, b) => write!(f, "already connected `{a}` `{b}`"),
             EngineError::Shutdown => write!(f, "engine is shut down"),
         }
     }
@@ -849,14 +854,14 @@ impl Engine {
 
     /// Runs a compiled MC program on the engine's own worker pool: the
     /// calling thread and up to `workers - 1` enqueued helpers share one
-    /// work-stealing block cursor via [`McProgram::run_partial`], so the
+    /// work-stealing block cursor via [`McProgram::execute`], so the
     /// pool's persistent threads replace the per-call scoped spawn inside
-    /// [`McProgram::run`]. The block sum is partition-invariant, so the
-    /// estimate is bit-identical whether zero, some, or all helpers get
+    /// [`McProgram::run`]. Accumulators merge partition-invariantly, so
+    /// the estimate is bit-identical whether zero, some, or all helpers get
     /// scheduled — the calling thread drains whatever the pool doesn't
     /// claim, which also makes the fan-out deadlock-free: it never waits
     /// on a helper for work it could do itself, and a helper that runs
-    /// after the cursor is exhausted just reports zero.
+    /// after the cursor is exhausted just reports an empty accumulator.
     ///
     /// Must only be called from non-pool threads (the blocking API): a
     /// worker enqueueing helpers and then blocking on their results could
@@ -864,7 +869,7 @@ impl Engine {
     /// its worker for exactly that reason.
     ///
     /// [`McProgram::run`]: dependability::McProgram::run
-    /// [`McProgram::run_partial`]: dependability::McProgram::run_partial
+    /// [`McProgram::execute`]: dependability::McProgram::execute
     fn pooled_mc(
         &self,
         shard: &Arc<Shard>,
@@ -877,10 +882,11 @@ impl Engine {
         if participants == 1 || program.constant_estimate().is_some() {
             return program.run(samples, 1, seed);
         }
+        let plan = McPlan::new(samples, seed);
         let cursor = Arc::new(AtomicU64::new(0));
         let chunk = steal_chunk(blocks, participants);
         let helpers = participants - 1;
-        let (tx, rx) = channel::bounded::<u64>(helpers);
+        let (tx, rx) = channel::bounded::<McAccum>(helpers);
         let mut queued = 0usize;
         for _ in 0..helpers {
             let task_program = Arc::clone(program);
@@ -890,9 +896,8 @@ impl Engine {
                 shard: Arc::clone(shard),
                 run: Box::new(move || {
                     let mut scratch = task_program.scratch();
-                    let _ = task_tx.send(task_program.run_partial(
-                        samples,
-                        seed,
+                    let _ = task_tx.send(task_program.execute(
+                        &plan,
                         &task_cursor,
                         chunk,
                         &mut scratch,
@@ -912,18 +917,17 @@ impl Engine {
             queued += 1;
         }
         drop(tx);
-        let mut scratch = program.scratch();
-        let mut successes = program.run_partial(samples, seed, &cursor, chunk, &mut scratch);
+        let mut accum = program.execute(&plan, &cursor, chunk, &mut program.scratch());
         for _ in 0..queued {
             // A helper dropped by the shutdown drain never claimed blocks
             // (the calling thread ran them), so a closed channel is safe
-            // to ignore: `successes` is already complete.
+            // to ignore: `accum` is already complete.
             match rx.recv() {
-                Ok(part) => successes += part,
+                Ok(part) => accum.merge(&part),
                 Err(_) => break,
             }
         }
-        mc_result_from(successes, samples)
+        accum.result(samples)
     }
 
     /// Cache fast-path; on miss hands the evaluation to the pool and
@@ -1623,6 +1627,14 @@ fn probe(
 /// either way.
 fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, EngineError> {
     let mut guard = shard.snapshot.write().expect("snapshot poisoned");
+    // Validated before journaling. Journal replay (`ModelSnapshot::apply`)
+    // has no such check, so a journal holding a duplicate CONNECT still
+    // restores.
+    if let UpdateCommand::Connect { a, b } = &command {
+        if guard.infrastructure.linked(a, b) {
+            return Err(EngineError::AlreadyConnected(a.clone(), b.clone()));
+        }
+    }
     let mut next = (**guard).clone();
     let old_service = next.service_name().to_string();
     match &command {
