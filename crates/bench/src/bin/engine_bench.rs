@@ -311,6 +311,7 @@ fn main() {
 
     let json = render_json(
         smoke,
+        all_cores,
         &cells,
         storm_updates,
         contention_ratio,
@@ -499,6 +500,7 @@ fn worker_counts(all_cores: usize) -> Vec<usize> {
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     smoke: bool,
+    host_cpus: usize,
     cells: &[Cell],
     storm_updates: u64,
     contention_ratio: f64,
@@ -509,6 +511,7 @@ fn render_json(
     let mut json = String::from("{\n");
     json.push_str("  \"bench\": \"engine\",\n");
     json.push_str(&format!("  \"smoke\": {smoke},\n"));
+    json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str("  \"workload\": \"45 USI perspectives per sweep (printS)\",\n");
     json.push_str("  \"results\": [\n");
     for (i, cell) in cells.iter().enumerate() {

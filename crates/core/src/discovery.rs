@@ -283,7 +283,7 @@ pub fn discover(
 /// rendered path, with `visits` relations to the topology instance entities
 /// in traversal order.
 pub fn record_in_space(space: &mut ModelSpace, discovered: &DiscoveredPaths) -> UpsimResult<()> {
-    let sanitized = discovered.pair.atomic_service.replace(['.', ' '], "_");
+    let sanitized = crate::importers::sanitize(&discovered.pair.atomic_service);
     let fqn = format!("{PATHS_NS}.{sanitized}");
     if let Ok(old) = space.resolve(&fqn) {
         space.delete_entity(old)?;
@@ -294,8 +294,7 @@ pub fn record_in_space(space: &mut ModelSpace, discovered: &DiscoveredPaths) -> 
         let p = space.new_entity(root, &format!("p{i}"))?;
         space.set_value(p, Some(discovered.render_path_at(i)))?;
         for node in discovered.path_names(i) {
-            let sanitized_node = node.replace(['.', ' '], "_");
-            if let Some(entity) = space.child(topology, &sanitized_node)? {
+            if let Some(entity) = space.child(topology, &crate::importers::topology_entity(node))? {
                 space.new_relation("visits", p, entity)?;
             }
         }

@@ -24,8 +24,16 @@ pub const MAPPING_NS: &str = "mappings";
 /// Namespace where discovered paths are recorded (Step 7 output).
 pub const PATHS_NS: &str = "paths";
 
-fn sanitize(name: &str) -> String {
+/// The entity name of a mapping pair (and of its recorded paths): the
+/// atomic service with `.` and spaces replaced by `_`.
+pub(crate) fn sanitize(name: &str) -> String {
     name.replace(['.', ' '], "_")
+}
+
+/// The entity name [`import_infrastructure`] gives a device: the object
+/// importer replaces `.` by `_` and keeps spaces.
+pub(crate) fn topology_entity(component: &str) -> String {
+    component.replace('.', "_")
 }
 
 /// Step 5a: imports profiles, class diagram and object diagram.
@@ -71,7 +79,7 @@ pub fn import_mapping(space: &mut ModelSpace, mapping: &ServiceMapping) -> Upsim
         space.set_value(entity, Some(pair.atomic_service.clone()))?;
         for (role, component) in [("requester", &pair.requester), ("provider", &pair.provider)] {
             let target = space
-                .child(topology, &sanitize(component))?
+                .child(topology, &topology_entity(component))?
                 .ok_or_else(|| UpsimError::UnknownComponent {
                     atomic_service: pair.atomic_service.clone(),
                     role,

@@ -445,9 +445,38 @@ impl Infrastructure {
         out
     }
 
-    /// Validates the object diagram against the class diagram.
+    /// Validates the object diagram against the class diagram, and every
+    /// name against the rules of the model space that Step 5 imports into
+    /// (checked here so a pipeline that skips the space rejects the same
+    /// models): devices, classes and associations become entities named
+    /// with `.` replaced by `_`, so their names must be nonempty and stay
+    /// distinct after that rewrite — classes and associations share one
+    /// namespace — and class attribute names must be nonempty.
     pub fn validate(&self) -> UpsimResult<()> {
         self.objects.validate(&self.classes)?;
+        let classes = self.classes.classes.iter().map(|c| ("class", &c.name));
+        let associations = self
+            .classes
+            .associations
+            .iter()
+            .map(|a| ("association", &a.name));
+        check_entity_names(crate::importers::CLASS_NS, classes.chain(associations))?;
+        let devices = self.objects.instances.iter().map(|i| ("device", &i.name));
+        check_entity_names(crate::importers::TOPOLOGY_NS, devices)?;
+        for class in self.classes.classes.iter() {
+            let applied = class.applied.iter().flat_map(|app| &app.values);
+            if class
+                .attributes
+                .iter()
+                .chain(applied)
+                .any(|(name, _)| name.is_empty())
+            {
+                return Err(model_space_name(format!(
+                    "class '{}' has an attribute with an empty name",
+                    class.name
+                )));
+            }
+        }
         Ok(())
     }
 
@@ -546,6 +575,38 @@ impl Infrastructure {
     pub fn to_interned_graph(&self) -> crate::interned::InternedGraph {
         crate::interned::InternedGraph::from_infrastructure(self)
     }
+}
+
+/// The error for a name the model space cannot hold.
+fn model_space_name(details: String) -> UpsimError {
+    uml::ModelError::WellFormedness {
+        rule: "model-space-name",
+        details,
+    }
+    .into()
+}
+
+/// Rejects what `vpm::ModelSpace::new_entity` would reject when Step 5
+/// imports these `(kind, name)` elements as children of one `namespace`
+/// entity: an empty name, or two names equal once `.` becomes `_`.
+fn check_entity_names<'a>(
+    namespace: &str,
+    names: impl Iterator<Item = (&'static str, &'a String)>,
+) -> UpsimResult<()> {
+    let mut seen: HashMap<String, &str> = HashMap::new();
+    for (kind, name) in names {
+        if name.is_empty() {
+            return Err(model_space_name(format!("{kind} with an empty name")));
+        }
+        let entity = name.replace('.', "_");
+        if let Some(other) = seen.get(&entity) {
+            return Err(model_space_name(format!(
+                "{kind} '{name}' and '{other}' both import as '{namespace}.{entity}'"
+            )));
+        }
+        seen.insert(entity, name);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

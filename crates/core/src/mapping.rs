@@ -8,8 +8,10 @@
 //! provider or substituting a service only touches this file.
 
 use crate::error::{UpsimError, UpsimResult};
+use crate::importers;
 use crate::infrastructure::Infrastructure;
 use crate::service::CompositeService;
+use std::collections::HashSet;
 use xmlio::{Document, Element};
 
 /// One mapping pair: atomic service → (requester, provider).
@@ -134,14 +136,23 @@ impl ServiceMapping {
             .collect()
     }
 
-    /// Validates every pair relevant for `service` against the
-    /// infrastructure: requester and provider must be deployed instances.
+    /// Validates the mapping against the service and infrastructure:
+    /// every atomic service of `service` has a pair, and every pair —
+    /// those for other services too, since Step 6 imports them all — names
+    /// deployed requester and provider instances and a nonempty atomic
+    /// service that stays distinct from the others once `.` and spaces
+    /// become `_` (its model-space entity name). Checked here rather than
+    /// at import, so a pipeline that skips the model space rejects the
+    /// same mappings.
     pub fn validate(
         &self,
         service: &CompositeService,
         infrastructure: &Infrastructure,
     ) -> UpsimResult<()> {
-        for pair in self.for_service(service)? {
+        // The service's own pairs first, so the error names a pair the
+        // service actually needs.
+        let relevant = self.for_service(service)?;
+        for pair in relevant.into_iter().chain(&self.pairs) {
             for (role, component) in [("requester", &pair.requester), ("provider", &pair.provider)]
             {
                 if !infrastructure.has_device(component) {
@@ -152,6 +163,23 @@ impl ServiceMapping {
                     });
                 }
             }
+        }
+        let mut entities = HashSet::with_capacity(self.pairs.len());
+        for pair in &self.pairs {
+            if pair.atomic_service.is_empty() {
+                return Err(UpsimError::Mapping(
+                    "pair with an empty atomic service".into(),
+                ));
+            }
+            let entity = importers::sanitize(&pair.atomic_service);
+            if entities.contains(&entity) {
+                return Err(UpsimError::Mapping(format!(
+                    "atomic service '{}' imports as '{}.{entity}', like an earlier pair",
+                    pair.atomic_service,
+                    importers::MAPPING_NS,
+                )));
+            }
+            entities.insert(entity);
         }
         Ok(())
     }

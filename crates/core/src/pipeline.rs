@@ -9,6 +9,11 @@
 //! 7. discover all paths per mapping pair (DFS with path tracking),
 //! 8. merge the paths into the UPSIM object diagram.
 //!
+//! Steps 5–6 and the path recording build the model space, which only the
+//! paper experiments read; with [`UpsimPipeline::record_paths`] off they
+//! import nothing and keep only their cache bookkeeping, and Steps 7–8 run
+//! over the interned graph alone.
+//!
 //! Sec. V-A3 observes that each kind of system change touches only some
 //! models; the pipeline exploits that: after [`UpsimPipeline::run`] the
 //! imports are cached, and updates through [`UpsimPipeline::update_mapping`]
@@ -135,10 +140,18 @@ pub struct UpsimPipeline {
     service: Arc<CompositeService>,
     mapping: ServiceMapping,
     options: DiscoveryOptions,
-    /// Record discovered paths in the model space (Step 7's reserved tree).
-    /// On by default; benchmarks switch it off to time the discovery alone.
+    /// Build the model space: import the models (Step 5) and the mapping
+    /// (Step 6) into it and record discovered paths under Step 7's
+    /// reserved tree. On by default — the paper experiments read the
+    /// space. Serving and campaign pipelines switch it off: Steps 7–8 run
+    /// over the interned graph alone, the space stays empty, and Steps 5–6
+    /// only do their cache bookkeeping (their timings stay in the run).
     pub record_paths: bool,
     space: ModelSpace,
+    /// `true` while the space holds the current models and mapping; a lean
+    /// run that re-executes Step 5 or 6 without importing clears it, so a
+    /// later recording run re-imports instead of trusting the flags.
+    space_current: bool,
     graph: Option<Arc<InternedGraph>>,
     workspace: DiscoveryWorkspace,
     models_imported: bool,
@@ -165,6 +178,7 @@ impl UpsimPipeline {
             options: DiscoveryOptions::default(),
             record_paths: true,
             space: ModelSpace::new(),
+            space_current: false,
             graph: None,
             workspace: DiscoveryWorkspace::default(),
             models_imported: false,
@@ -276,13 +290,16 @@ impl UpsimPipeline {
     pub fn run(&mut self) -> UpsimResult<UpsimRun> {
         let mut timings = Vec::with_capacity(4);
 
-        // Step 5: import UML models.
+        // Step 5: import UML models (into the space only when recording).
         let t = Instant::now();
-        let cached5 = self.models_imported;
-        if !self.models_imported {
+        let cached5 = self.models_imported && (self.space_current || !self.record_paths);
+        if !cached5 {
             self.space = ModelSpace::new();
-            importers::import_infrastructure(&mut self.space, &self.infrastructure)?;
-            importers::import_service(&mut self.space, &self.service)?;
+            if self.record_paths {
+                importers::import_infrastructure(&mut self.space, &self.infrastructure)?;
+                importers::import_service(&mut self.space, &self.service)?;
+            }
+            self.space_current = self.record_paths;
             self.models_imported = true;
             self.mapping_imported = false;
         }
@@ -294,9 +311,12 @@ impl UpsimPipeline {
 
         // Step 6: import the service mapping.
         let t = Instant::now();
-        let cached6 = self.mapping_imported;
-        if !self.mapping_imported {
-            importers::import_mapping(&mut self.space, &self.mapping)?;
+        let cached6 = self.mapping_imported && (self.space_current || !self.record_paths);
+        if !cached6 {
+            if self.record_paths {
+                importers::import_mapping(&mut self.space, &self.mapping)?;
+            }
+            self.space_current = self.record_paths;
             self.mapping_imported = true;
         }
         timings.push(StepTiming {
@@ -358,9 +378,11 @@ impl UpsimPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::UpsimError;
     use crate::infrastructure::DeviceClassSpec;
     use crate::mapping::ServiceMappingPair;
     use std::collections::HashMap;
+    use uml::value::Value;
 
     /// t1, t2 - sw - srv1, srv2
     fn fixture() -> (Infrastructure, CompositeService, ServiceMapping) {
@@ -580,12 +602,168 @@ mod tests {
         assert_eq!(touched, vec!["t1", "sw", "srv1"]);
     }
 
+    /// A lean run leaves the space stale; switching recording back on
+    /// re-imports rather than trusting the step flags.
     #[test]
-    fn record_paths_can_be_disabled() {
+    fn recording_after_a_lean_run_reimports() {
         let (i, s, m) = fixture();
         let mut p = UpsimPipeline::new(i, s, m).unwrap();
-        p.record_paths = false;
         p.run().unwrap();
-        assert!(p.space().resolve("paths").is_err());
+        p.record_paths = false;
+        p.update_mapping(|m| {
+            m.move_requester("t1", "t2");
+            m.migrate_provider("t1", "t2");
+        })
+        .unwrap();
+        let lean = p.run().unwrap();
+        assert!(lean.timings[0].cached && !lean.timings[1].cached);
+        p.record_paths = true;
+        let run = p.run().unwrap();
+        assert!(run.timings.iter().all(|t| !t.cached));
+        let pair = p.space().resolve("mappings.request").unwrap();
+        let t2 = p.space().resolve("models.topology.t2").unwrap();
+        let requester: Vec<_> = p
+            .space()
+            .relations_from(pair, "requester")
+            .map(|(_, t)| t)
+            .collect();
+        assert_eq!(requester, vec![t2]);
+    }
+
+    /// Builds and runs the fixture, edited by `edit`, in both modes: each
+    /// must fail with the error `UpsimPipeline::new` gives, so neither
+    /// reaches a model-space import.
+    fn rejected_in_both_modes(
+        edit: impl FnOnce(&mut Infrastructure, &mut ServiceMapping),
+    ) -> UpsimError {
+        let (mut i, s, mut m) = fixture();
+        edit(&mut i, &mut m);
+        let build = || UpsimPipeline::new(i.clone(), s.clone(), m.clone());
+        let at_new = build().err().expect("rejected when the pipeline is built");
+        for record_paths in [false, true] {
+            let run = build().and_then(|mut p| {
+                p.record_paths = record_paths;
+                p.run()
+            });
+            assert_eq!(
+                run.err(),
+                Some(at_new.clone()),
+                "record_paths={record_paths}"
+            );
+        }
+        at_new
+    }
+
+    #[test]
+    fn devices_equal_once_dots_become_underscores_are_rejected() {
+        let err = rejected_in_both_modes(|i, _| {
+            i.add_device("sw.1", "Sw").unwrap();
+            i.add_device("sw_1", "Sw").unwrap();
+        });
+        assert!(err.to_string().contains("models.topology.sw_1"), "{err}");
+    }
+
+    #[test]
+    fn device_with_an_empty_name_is_rejected() {
+        rejected_in_both_modes(|i, _| i.add_device("", "Sw").unwrap());
+    }
+
+    #[test]
+    fn classes_equal_once_dots_become_underscores_are_rejected() {
+        rejected_in_both_modes(|i, _| {
+            for name in ["C.1", "C_1"] {
+                let spec = DeviceClassSpec::switch(name, 1000.0, 1.0);
+                i.define_device_class(spec).unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn class_named_like_an_association_is_rejected() {
+        // `connect` named the Comp–Sw association `Comp--Sw`; classes and
+        // associations share the `models.classes` namespace.
+        rejected_in_both_modes(|i, _| {
+            let spec = DeviceClassSpec::switch("Comp--Sw", 1000.0, 1.0);
+            i.define_device_class(spec).unwrap();
+        });
+    }
+
+    #[test]
+    fn class_with_an_empty_name_is_rejected() {
+        rejected_in_both_modes(|i, _| {
+            let spec = DeviceClassSpec::switch("", 1000.0, 1.0);
+            i.define_device_class(spec).unwrap();
+        });
+    }
+
+    #[test]
+    fn class_attribute_with_an_empty_name_is_rejected() {
+        rejected_in_both_modes(|i, _| {
+            let class = Arc::make_mut(&mut i.classes).class_mut("Sw").unwrap();
+            class.attributes.push((String::new(), Value::Real(1.0)));
+        });
+    }
+
+    #[test]
+    fn service_with_an_empty_name_is_rejected() {
+        // Step 5 would import the activity under the service's name, so
+        // the service itself refuses an empty one: no pipeline is built.
+        assert!(CompositeService::sequential("", &["request"]).is_err());
+    }
+
+    #[test]
+    fn pair_with_an_empty_atomic_service_is_rejected() {
+        rejected_in_both_modes(|_, m| m.add(ServiceMappingPair::new("", "t2", "srv2")));
+    }
+
+    #[test]
+    fn atomic_services_equal_once_sanitized_are_rejected() {
+        // Neither pair is the service's; Step 6 would import both as
+        // `mappings.backup_job`.
+        rejected_in_both_modes(|_, m| {
+            m.add(ServiceMappingPair::new("backup job", "t2", "srv2"));
+            m.add(ServiceMappingPair::new("backup.job", "t2", "srv2"));
+        });
+    }
+
+    #[test]
+    fn pair_for_another_service_must_name_deployed_devices() {
+        let err = rejected_in_both_modes(|_, m| {
+            m.add(ServiceMappingPair::new("backup", "t2", "ghost"));
+        });
+        assert!(matches!(
+            err,
+            UpsimError::UnknownComponent {
+                role: "provider",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn devices_with_spaces_map_in_both_modes() {
+        // The object importer keeps spaces in entity names; Step 6 must
+        // look the device up under that same name.
+        let (mut i, s, mut m) = fixture();
+        i.add_device("print server", "Server").unwrap();
+        i.connect("print server", "sw").unwrap();
+        m.migrate_provider("srv1", "print server");
+        m.move_requester("srv1", "print server");
+        let build = |record_paths| {
+            let mut p = UpsimPipeline::new(i.clone(), s.clone(), m.clone()).unwrap();
+            p.record_paths = record_paths;
+            p.run().expect("a space is allowed in a device name");
+            p
+        };
+        build(false);
+        let p = build(true);
+        let pair = p.space().resolve("mappings.request").unwrap();
+        let server = p.space().resolve("models.topology.print server").unwrap();
+        let providers: Vec<_> = p
+            .space()
+            .relations_from(pair, "provider")
+            .map(|(_, target)| target)
+            .collect();
+        assert_eq!(providers, vec![server]);
     }
 }

@@ -17,9 +17,18 @@ pub struct CompositeService {
 
 impl CompositeService {
     /// Wraps an activity diagram, enforcing the paper's well-formedness
-    /// rules (single initial node, no decision nodes, acyclic, ...).
+    /// rules (single initial node, no decision nodes, acyclic, ...) and a
+    /// nonempty name — Step 5 imports the activity as a model-space entity
+    /// of that name.
     pub fn from_activity(activity: Activity) -> UpsimResult<Self> {
         activity.validate()?;
+        if activity.name.is_empty() {
+            return Err(uml::ModelError::WellFormedness {
+                rule: "model-space-name",
+                details: "service with an empty name".into(),
+            }
+            .into());
+        }
         Ok(CompositeService { activity })
     }
 

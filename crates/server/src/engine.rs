@@ -29,7 +29,6 @@ use std::time::Instant;
 
 use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender};
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
-use dependability::{steal_chunk, wide_block_count, McAccum, McPlan};
 use upsim_campaign::{
     aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, CampaignInput,
     CampaignReport, CampaignSpec, EvalCtx,
@@ -243,29 +242,16 @@ type StreamTask<T> = Box<dyn FnOnce(&Sender<(usize, T)>) + Send>;
 /// has evaluated (see the note on [`worker_loop`]).
 type WarmPipelines = HashMap<String, (u64, UpsimPipeline)>;
 
+/// A unit of pool work. Every request, campaign chunk and wire verb is a
+/// `Run`: a closure executed on a worker with access to its warm
+/// pipelines, reporting through whatever callback or sender it captured.
+/// Dropping an unexecuted `Run` (shutdown drain) drops that callback, so
+/// the waiting side observes a closed channel — the blocking API and the
+/// campaign collector read it as `EngineError::Shutdown`, the front-end's
+/// ticket guard turns it into a shutdown reply. The shard tag is
+/// accounting only (`worker_busy_ns` / `tasks_executed`).
 enum Job {
-    Eval {
-        shard: Arc<Shard>,
-        client: String,
-        provider: String,
-        reply: Sender<Result<Arc<CachedPerspective>, EngineError>>,
-    },
-    /// An opaque unit of campaign work — a chunk of scenarios or
-    /// baselines streaming results through the sender it owns; dropping
-    /// an unexecuted Task (shutdown drain) drops the sender, which the
-    /// submitting thread observes as a closed channel. The shard tag is
-    /// accounting only (`worker_busy_ns` / `tasks_executed`).
-    Task {
-        shard: Arc<Shard>,
-        run: Box<dyn FnOnce() + Send>,
-    },
-    /// One wire request's pool half ([`Engine::execute_wire`]): runs on a
-    /// worker with access to its warm pipelines and reports through the
-    /// completion callback captured in the closure. Dropping an unexecuted
-    /// Wire (shutdown drain) drops that callback, which the front-end's
-    /// ticket guard turns into a shutdown reply. The shard tag is
-    /// accounting only.
-    Wire {
+    Run {
         shard: Arc<Shard>,
         run: Box<dyn FnOnce(&mut WarmPipelines) + Send>,
     },
@@ -340,9 +326,8 @@ pub type WireCallback = Box<dyn FnOnce(Result<WireResponse, EngineError>) + Send
 type BatchSlot = Option<Result<Arc<CachedPerspective>, EngineError>>;
 
 /// Accumulates a wire `BATCH`'s per-pair results across the pool and fires
-/// the completion callback when the last slot fills — the callback-world
-/// equivalent of `batch_on`'s enqueue-all-then-collect, with no thread
-/// parked anywhere.
+/// the completion callback when the last slot fills — every pair is in
+/// flight before any result lands, with no thread parked anywhere.
 struct BatchCollector {
     slots: Mutex<Vec<BatchSlot>>,
     remaining: std::sync::atomic::AtomicUsize,
@@ -711,6 +696,23 @@ impl Engine {
         Ok(())
     }
 
+    /// Runs one request through [`Engine::execute_wire`] and blocks until
+    /// its callback answers — the one road from the blocking API into the
+    /// engine, so tests and benches drive the same path the TCP front-end
+    /// does. A callback dropped unfired (the shutdown drain) closes the
+    /// channel, which reads as [`EngineError::Shutdown`]. The oneshot is
+    /// std's bounded channel: unlike the vendored one it makes no futex
+    /// call when nobody is parked, so a cache hit — answered before
+    /// `recv` — costs no syscall.
+    fn call(&self, model: Option<&str>, request: WireRequest) -> Result<WireResponse, EngineError> {
+        let (tx, rx) = std::sync::mpsc::sync_channel(1);
+        let done: WireCallback = Box::new(move |result| {
+            let _ = tx.send(result);
+        });
+        self.execute_wire(model, request, done);
+        rx.recv().map_err(|_| EngineError::Shutdown)?
+    }
+
     /// Exports the default shard's snapshot to the state directory (the
     /// `SAVE` protocol verb). Errors when persistence is not enabled.
     pub fn save_state(&self) -> Result<SaveSummary, EngineError> {
@@ -719,11 +721,10 @@ impl Engine {
 
     /// Exports one model's snapshot to its persistence subtree.
     pub fn save_state_on(&self, model: Option<&str>) -> Result<SaveSummary, EngineError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::Shutdown);
-        }
-        let shard = self.shard(model)?;
-        save_shard(shard)
+        let WireResponse::Save(summary) = self.call(model, WireRequest::Save)? else {
+            unreachable!("SAVE answers with a save summary");
+        };
+        Ok(summary)
     }
 
     /// Evaluates one perspective against the default shard, serving from
@@ -753,15 +754,14 @@ impl Engine {
         client: &str,
         provider: &str,
     ) -> Result<(Arc<CachedPerspective>, bool), EngineError> {
-        let shard = Arc::clone(self.shard(model)?);
-        EngineMetrics::bump(&shard.metrics.queries);
-        match self.lookup_or_enqueue(&shard, client, provider)? {
-            Ok(hit) => Ok((hit, true)),
-            Err(reply_rx) => {
-                let entry = reply_rx.recv().map_err(|_| EngineError::Shutdown)??;
-                Ok((entry, false))
-            }
-        }
+        let request = WireRequest::Query {
+            client: client.to_string(),
+            provider: provider.to_string(),
+        };
+        let WireResponse::Query { entry, cached } = self.call(model, request)? else {
+            unreachable!("QUERY answers with a query response");
+        };
+        Ok((entry, cached))
     }
 
     /// Evaluates a batch of perspectives concurrently across the pool,
@@ -774,29 +774,23 @@ impl Engine {
             .expect("default shard always resolves")
     }
 
-    /// [`Engine::batch`] against a named model (`None` = default).
+    /// [`Engine::batch`] against a named model (`None` = default). Only an
+    /// unknown model fails the whole call; a shut-down engine answers
+    /// every pair with [`EngineError::Shutdown`].
     pub fn batch_on(
         &self,
         model: Option<&str>,
         pairs: &[(String, String)],
     ) -> Result<Vec<Result<Arc<CachedPerspective>, EngineError>>, EngineError> {
-        let shard = Arc::clone(self.shard(model)?);
-        EngineMetrics::bump(&shard.metrics.batches);
-        EngineMetrics::add(&shard.metrics.queries, pairs.len() as u64);
-        // First pass: resolve cache hits and enqueue the misses, so the
-        // whole batch is in flight before we wait on anything.
-        let pending: Vec<_> = pairs
-            .iter()
-            .map(|(client, provider)| self.lookup_or_enqueue(&shard, client, provider))
-            .collect();
-        Ok(pending
-            .into_iter()
-            .map(|slot| match slot {
-                Err(err) => Err(err),
-                Ok(Ok(hit)) => Ok(hit),
-                Ok(Err(reply_rx)) => reply_rx.recv().map_err(|_| EngineError::Shutdown)?,
-            })
-            .collect())
+        let request = WireRequest::Batch {
+            pairs: pairs.to_vec(),
+        };
+        match self.call(model, request) {
+            Ok(WireResponse::Batch(results)) => Ok(results),
+            Ok(_) => unreachable!("BATCH answers with per-pair results"),
+            Err(err @ EngineError::UnknownModel(_)) => Err(err),
+            Err(err) => Ok(vec![Err(err); pairs.len()]),
+        }
     }
 
     /// Runs the perspective's compiled bit-sliced Monte-Carlo program for
@@ -808,9 +802,9 @@ impl Engine {
     /// The program is compiled once per `(epoch, perspective)` inside the
     /// evaluation; repeated `MC` requests — e.g. with growing sample
     /// counts or different seeds — replay it without touching the
-    /// pipeline. The counter-based kernel makes the estimate a pure
-    /// function of `(samples, seed)`, so the reply does not depend on the
-    /// pool size.
+    /// pipeline. The whole request runs on one worker, and the
+    /// counter-based kernel makes the estimate a pure function of
+    /// `(samples, seed)`, so the reply does not depend on the pool size.
     pub fn monte_carlo(
         &self,
         client: &str,
@@ -844,135 +838,30 @@ impl Engine {
         ),
         EngineError,
     > {
-        let shard = Arc::clone(self.shard(model)?);
-        let (entry, cached) = self.query_traced_on(model, client, provider)?;
-        EngineMetrics::bump(&shard.metrics.mc_queries);
-        EngineMetrics::add(&shard.metrics.mc_trials_total, samples as u64);
-        let result = self.pooled_mc(&shard, &entry.mc_program, samples, seed);
+        let request = WireRequest::MonteCarlo {
+            client: client.to_string(),
+            provider: provider.to_string(),
+            samples,
+            seed,
+            interval: false,
+        };
+        let WireResponse::MonteCarlo {
+            result,
+            entry,
+            cached,
+            ..
+        } = self.call(model, request)?
+        else {
+            unreachable!("MC answers with an estimate");
+        };
         Ok((result, entry, cached))
     }
 
-    /// Runs a compiled MC program on the engine's own worker pool: the
-    /// calling thread and up to `workers - 1` enqueued helpers share one
-    /// work-stealing block cursor via [`McProgram::execute`], so the
-    /// pool's persistent threads replace the per-call scoped spawn inside
-    /// [`McProgram::run`]. Accumulators merge partition-invariantly, so
-    /// the estimate is bit-identical whether zero, some, or all helpers get
-    /// scheduled — the calling thread drains whatever the pool doesn't
-    /// claim, which also makes the fan-out deadlock-free: it never waits
-    /// on a helper for work it could do itself, and a helper that runs
-    /// after the cursor is exhausted just reports an empty accumulator.
-    ///
-    /// Must only be called from non-pool threads (the blocking API): a
-    /// worker enqueueing helpers and then blocking on their results could
-    /// deadlock a fully-busy pool. Wire-path MC stays single-threaded on
-    /// its worker for exactly that reason.
-    ///
-    /// [`McProgram::run`]: dependability::McProgram::run
-    /// [`McProgram::execute`]: dependability::McProgram::execute
-    fn pooled_mc(
-        &self,
-        shard: &Arc<Shard>,
-        program: &Arc<dependability::McProgram>,
-        samples: usize,
-        seed: u64,
-    ) -> dependability::montecarlo::MonteCarloResult {
-        let blocks = wide_block_count(samples);
-        let participants = self.workers.max(1).min(blocks as usize).max(1);
-        if participants == 1 || program.constant_estimate().is_some() {
-            return program.run(samples, 1, seed);
-        }
-        let plan = McPlan::new(samples, seed);
-        let cursor = Arc::new(AtomicU64::new(0));
-        let chunk = steal_chunk(blocks, participants);
-        let helpers = participants - 1;
-        let (tx, rx) = channel::bounded::<McAccum>(helpers);
-        let mut queued = 0usize;
-        for _ in 0..helpers {
-            let task_program = Arc::clone(program);
-            let task_cursor = Arc::clone(&cursor);
-            let task_tx = tx.clone();
-            let job = Job::Task {
-                shard: Arc::clone(shard),
-                run: Box::new(move || {
-                    let mut scratch = task_program.scratch();
-                    let _ = task_tx.send(task_program.execute(
-                        &plan,
-                        &task_cursor,
-                        chunk,
-                        &mut scratch,
-                    ));
-                }),
-            };
-            // Best-effort: a full job queue means the pool is saturated
-            // with other work, so skip the helper rather than wait — the
-            // calling thread picks up its share through the cursor.
-            if self
-                .job_tx
-                .send_timeout(job, std::time::Duration::ZERO)
-                .is_err()
-            {
-                break;
-            }
-            queued += 1;
-        }
-        drop(tx);
-        let mut accum = program.execute(&plan, &cursor, chunk, &mut program.scratch());
-        for _ in 0..queued {
-            // A helper dropped by the shutdown drain never claimed blocks
-            // (the calling thread ran them), so a closed channel is safe
-            // to ignore: `accum` is already complete.
-            match rx.recv() {
-                Ok(part) => accum.merge(&part),
-                Err(_) => break,
-            }
-        }
-        accum.result(samples)
-    }
-
-    /// Cache fast-path; on miss hands the evaluation to the pool and
-    /// returns the reply channel.
-    #[allow(clippy::type_complexity)]
-    fn lookup_or_enqueue(
-        &self,
-        shard: &Arc<Shard>,
-        client: &str,
-        provider: &str,
-    ) -> Result<
-        Result<Arc<CachedPerspective>, Receiver<Result<Arc<CachedPerspective>, EngineError>>>,
-        EngineError,
-    > {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::Shutdown);
-        }
-        if let Some(hit) = probe(shard, client, provider)? {
-            return Ok(Ok(hit));
-        }
-        let (reply_tx, reply_rx) = channel::bounded(1);
-        self.job_tx
-            .send(Job::Eval {
-                shard: Arc::clone(shard),
-                client: client.to_string(),
-                provider: provider.to_string(),
-                reply: reply_tx,
-            })
-            .map_err(|_| EngineError::Shutdown)?;
-        // Close the race with `shutdown`: if the flag flipped between the
-        // check above and the send, our job may sit behind the Stop jobs
-        // with every worker already gone — drain it (and any neighbours)
-        // ourselves so no caller blocks forever on `reply_rx`.
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            self.drain_pending();
-        }
-        Ok(Err(reply_rx))
-    }
-
-    /// Non-blocking request execution for the TCP front-end: the reactor
-    /// thread calls this and returns to its event loop immediately. Cache
-    /// hits and immediate errors invoke `done` synchronously on the
-    /// calling thread; everything else runs on a worker (with its warm
-    /// pipelines) and invokes `done` there. Metric accounting matches the
-    /// blocking `*_on` APIs bump for bump.
+    /// The engine's one request path. The TCP front-end's reactor thread
+    /// calls this and returns to its event loop immediately; the blocking
+    /// API wraps it in a oneshot channel. Cache hits and immediate errors
+    /// invoke `done` synchronously on the calling thread; everything else
+    /// runs on a worker (with its warm pipelines) and invokes `done` there.
     pub fn execute_wire(&self, model: Option<&str>, request: WireRequest, done: WireCallback) {
         let shard = match self.shard(model) {
             Ok(shard) => Arc::clone(shard),
@@ -1014,9 +903,9 @@ impl Engine {
                 if pairs.is_empty() {
                     return done(Ok(WireResponse::Batch(Vec::new())));
                 }
-                // Mirror `batch_on`: probe every pair up front so the whole
-                // batch is in flight before any result lands; the collector
-                // fires `done` when the last slot fills, wherever that is.
+                // Probe every pair up front so the whole batch is in flight
+                // before any result lands; the collector fires `done` when
+                // the last slot fills, wherever that is.
                 let collector = Arc::new(BatchCollector {
                     slots: Mutex::new(vec![None; pairs.len()]),
                     remaining: std::sync::atomic::AtomicUsize::new(pairs.len()),
@@ -1052,9 +941,8 @@ impl Engine {
             } => {
                 // The whole request runs on one worker: probe + (maybe)
                 // evaluation + the sampling loop. The counter-based kernel
-                // is bit-identical for any thread split, so running the
-                // trials single-threaded on that worker reproduces
-                // `monte_carlo_on`'s estimate exactly.
+                // is bit-identical for any thread split, so the estimate
+                // does not depend on the pool size.
                 let tag = Arc::clone(&shard);
                 self.spawn_wire(
                     &tag,
@@ -1122,14 +1010,15 @@ impl Engine {
         }
     }
 
-    /// Enqueues a wire task, closing the same shutdown race as
-    /// `lookup_or_enqueue`: if the flag flipped after the send, the final
-    /// drain drops the job (and its callback — the front-end's ticket
-    /// guard answers the wire).
-    fn spawn_wire(&self, shard: &Arc<Shard>, task: Box<dyn FnOnce(&mut WarmPipelines) + Send>) {
-        let job = Job::Wire {
+    /// Enqueues a request's pool half. Closes the race with `shutdown`:
+    /// a request that passed the flag check may land behind the Stop jobs
+    /// with every worker already gone, so if the flag flipped by the time
+    /// the send returns, drain the queue — dropping the job drops its
+    /// callback, which answers the caller (see [`Job`]).
+    fn spawn_wire(&self, shard: &Arc<Shard>, run: Box<dyn FnOnce(&mut WarmPipelines) + Send>) {
+        let job = Job::Run {
             shard: Arc::clone(shard),
-            run: task,
+            run,
         };
         if self.job_tx.send(job).is_err() {
             return;
@@ -1155,11 +1044,10 @@ impl Engine {
         model: Option<&str>,
         command: UpdateCommand,
     ) -> Result<UpdateSummary, EngineError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(EngineError::Shutdown);
-        }
-        let shard = self.shard(model)?;
-        apply_update(shard, command)
+        let WireResponse::Update(summary) = self.call(model, WireRequest::Update(command))? else {
+            unreachable!("UPDATE answers with an update summary");
+        };
+        Ok(summary)
     }
 
     /// Runs a what-if campaign against the default shard.
@@ -1364,9 +1252,9 @@ impl Engine {
         let (result_tx, result_rx) = channel::bounded::<(usize, T)>(total.max(1));
         for task in tasks {
             let tx = result_tx.clone();
-            let mut job = Job::Task {
+            let mut job = Job::Run {
                 shard: Arc::clone(shard),
-                run: Box::new(move || task(&tx)),
+                run: Box::new(move |_warm| task(&tx)),
             };
             // The result channel has room for every result, so workers
             // never block sending — the job queue always drains while
@@ -1390,7 +1278,7 @@ impl Engine {
             }
         }
         drop(result_tx);
-        // Close the race with `shutdown` exactly like `lookup_or_enqueue`:
+        // Close the race with `shutdown` exactly like `spawn_wire`:
         // if the flag flipped after our last send, drain the queue so no
         // submitted task keeps its result sender alive forever.
         if self.shared.shutdown.load(Ordering::SeqCst) {
@@ -1501,96 +1389,53 @@ impl Engine {
         }
     }
 
-    /// Answers every `Eval` job still sitting in the queue with
-    /// `EngineError::Shutdown`. Safe to call from multiple threads — each
-    /// queued job is received (and thus answered) exactly once.
+    /// Drops every job still sitting in the queue; a dropped `Run` drops
+    /// its callback or result sender unfired, which its waiter reads as
+    /// `EngineError::Shutdown` (see [`Job`]). Safe to call from multiple
+    /// threads — each queued job is received (and thus dropped) once.
     ///
-    /// A racing drain (from `lookup_or_enqueue`'s tail) can also pull out
-    /// a `Job::Stop` that `stop_workers` addressed to a worker still
-    /// blocked in `recv`; stealing it would leave that worker (and the
-    /// `shutdown` join) hanging forever, so every drained Stop is re-sent
-    /// after the drain loop.
+    /// A racing drain (from `spawn_wire`'s tail) can also pull out a
+    /// `Job::Stop` that `stop_workers` addressed to a worker still blocked
+    /// in `recv`; stealing it would leave that worker (and the `shutdown`
+    /// join) hanging forever, so every drained Stop is re-sent. A blocking
+    /// send is safe: a Stop can only be in the queue while its worker is
+    /// still alive to receive it.
     fn drain_pending(&self) {
-        let mut replies = Vec::new();
         let mut stolen_stops = 0usize;
         while let Ok(job) = self.job_rx.try_recv() {
-            match job {
-                Job::Eval { reply, .. } => replies.push(reply),
-                // Dropping the closure drops its embedded result sender;
-                // the campaign's aggregation loop sees the channel close
-                // and reports `EngineError::Shutdown` itself.
-                Job::Task { run, .. } => drop(run),
-                // Likewise: the wire completion callback inside is dropped
-                // unfired, which the front-end's ticket guard converts to a
-                // shutdown reply on the wire.
-                Job::Wire { run, .. } => drop(run),
-                Job::Stop => stolen_stops += 1,
+            if matches!(job, Job::Stop) {
+                stolen_stops += 1;
             }
         }
-        // Put stolen Stops back first so blocked workers can exit while we
-        // answer the evals. A blocking send is safe: a Stop can only be in
-        // the queue while its worker is still alive to receive it.
         for _ in 0..stolen_stops {
             let _ = self.job_tx.send(Job::Stop);
-        }
-        for reply in replies {
-            let _ = reply.send(Err(EngineError::Shutdown));
         }
     }
 }
 
 fn worker_loop(rx: Receiver<Job>) {
-    // Warm pipelines, one per model this worker has evaluated: Step 5
-    // (UML import + graph) stays cached across queries of the same
-    // (model, epoch); only the mapping (Step 6) is swapped. Keying by
-    // model name means a cold sweep on one model (its epoch bumped) never
-    // evicts another model's warm state from this worker.
+    // Warm pipelines, one per model this worker has evaluated: the
+    // pipeline's input models and interned graph stay cached across
+    // queries of the same (model, epoch); only the mapping is swapped.
+    // Keying by model name means a cold sweep on one model (its epoch
+    // bumped) never evicts another model's warm state from this worker.
     let mut warm: WarmPipelines = HashMap::new();
-    // Every executed job is accounted to its shard: busy wall time and a
-    // job count, so `STATS` can expose pool utilization per model.
-    let account = |shard: &Shard, started: Instant| {
+    while let Ok(Job::Run { shard, run }) = rx.recv() {
+        // Every executed job is accounted to its shard: busy wall time and
+        // a job count, so `STATS` can expose pool utilization per model.
+        let started = Instant::now();
+        run(&mut warm);
         EngineMetrics::add(
             &shard.metrics.worker_busy_ns,
             started.elapsed().as_nanos() as u64,
         );
         EngineMetrics::bump(&shard.metrics.tasks_executed);
-    };
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Stop => break,
-            Job::Eval {
-                shard,
-                client,
-                provider,
-                reply,
-            } => {
-                let started = Instant::now();
-                let result = evaluate(&shard, &mut warm, &client, &provider);
-                if result.is_err() {
-                    EngineMetrics::bump(&shard.metrics.errors);
-                }
-                account(&shard, started);
-                let _ = reply.send(result);
-            }
-            Job::Task { shard, run } => {
-                let started = Instant::now();
-                run();
-                account(&shard, started);
-            }
-            Job::Wire { shard, run } => {
-                let started = Instant::now();
-                run(&mut warm);
-                account(&shard, started);
-            }
-        }
     }
 }
 
 /// The synchronous half of a query: negative cache, device existence,
-/// perspective cache — exactly the checks `lookup_or_enqueue` runs before
+/// perspective cache — the checks [`Engine::execute_wire`] runs before
 /// deciding whether the pool is needed. `Ok(None)` means "miss: evaluate".
-/// Metric accounting (negative_hits / errors / cache_hits) matches the
-/// pre-wire engine bump for bump.
 fn probe(
     shard: &Shard,
     client: &str,
@@ -1620,11 +1465,10 @@ fn probe(
     Ok(None)
 }
 
-/// The shard half of `update_on`: journal (fsynced, under the write lock),
+/// An `UPDATE`'s pool half: journal (fsynced, under the write lock),
 /// publish the next snapshot generation, sweep exactly the affected cache
-/// keys. Runs identically from the blocking API and from a worker
-/// executing a wire `UPDATE` — the snapshot write lock is the serializer
-/// either way.
+/// keys. Runs on the worker executing an `UPDATE`; the snapshot write
+/// lock serializes concurrent updates.
 fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, EngineError> {
     let mut guard = shard.snapshot.write().expect("snapshot poisoned");
     // Validated before journaling. Journal replay (`ModelSnapshot::apply`)
@@ -1697,7 +1541,7 @@ fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, 
     })
 }
 
-/// The shard half of `save_state_on`: exports the current snapshot to the
+/// A `SAVE`'s pool half: exports the current snapshot to the
 /// shard's persistence subtree.
 fn save_shard(shard: &Shard) -> Result<SaveSummary, EngineError> {
     let snapshot = shard.model();
@@ -1886,11 +1730,12 @@ mod tests {
         }
     }
 
-    /// Regression for the shutdown hang: a job that passed the shutdown
-    /// flag check concurrently with `shutdown()` lands in the queue behind
-    /// the Stop jobs, after every worker is gone. Pre-fix its reply channel
-    /// lived in the queue forever and the caller blocked indefinitely on
-    /// `recv`; the drain must answer it with `EngineError::Shutdown`.
+    /// Regression for the shutdown hang: a request that passed the
+    /// shutdown flag check concurrently with `shutdown()` lands in the
+    /// queue behind the Stop jobs, after every worker is gone. Pre-fix its
+    /// callback lived in the queue forever and the blocking caller waited
+    /// indefinitely; the drain must drop it, which the caller reads as
+    /// `EngineError::Shutdown`.
     #[test]
     fn shutdown_drains_jobs_that_raced_the_flag() {
         let engine = usi_engine(1);
@@ -1899,13 +1744,14 @@ mod tests {
         engine.shared.shutdown.store(true, Ordering::SeqCst);
         engine.stop_workers();
         // ...while a racer that already passed the flag check enqueues its
-        // Eval job, exactly as `lookup_or_enqueue`'s tail does.
+        // request with a oneshot callback, exactly as `Engine::call` does.
         let (reply_tx, reply_rx) = channel::bounded(1);
-        let sent = engine.job_tx.send(Job::Eval {
+        let done: WireCallback = Box::new(move |result| {
+            let _ = reply_tx.send(result);
+        });
+        let sent = engine.job_tx.send(Job::Run {
             shard: Arc::clone(&engine.shared.shards[0]),
-            client: "t1".into(),
-            provider: "p1".into(),
-            reply: reply_tx,
+            run: Box::new(move |_warm| done(Err(EngineError::Model("ran late".into())))),
         });
         assert!(sent.is_ok(), "engine keeps a receiver alive");
         // The second half of `shutdown`: without this drain (the pre-fix
@@ -1914,16 +1760,14 @@ mod tests {
         // Bound the wait (the vendored channel has no recv_timeout).
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = done_tx.send(reply_rx.recv());
+            // `Engine::call`'s wait: a closed channel answers Shutdown.
+            let answer = reply_rx.recv().map_err(|_| EngineError::Shutdown);
+            let _ = done_tx.send(answer.and_then(|result| result.map(|_| ())));
         });
         let answer = done_rx
             .recv_timeout(Duration::from_secs(5))
-            .expect("raced job must be answered, not leaked")
-            .expect("reply channel stays connected");
-        assert!(
-            matches!(answer, Err(EngineError::Shutdown)),
-            "raced job must be answered with Shutdown, got {answer:?}"
-        );
+            .expect("raced job must be answered, not leaked");
+        assert_eq!(answer, Err(EngineError::Shutdown));
     }
 
     /// Regression for the drain/stop race: a racing sender's drain that
@@ -1935,20 +1779,21 @@ mod tests {
         // Occupy the single worker with a real evaluation so the Stop sent
         // below sits in the queue where the racing drain can see it.
         let (busy_tx, busy_rx) = channel::bounded(1);
-        let sent = engine.job_tx.send(Job::Eval {
-            shard: Arc::clone(&engine.shared.shards[0]),
-            client: "t1".into(),
-            provider: "p1".into(),
-            reply: busy_tx,
+        let shard = Arc::clone(&engine.shared.shards[0]);
+        let sent = engine.job_tx.send(Job::Run {
+            shard: Arc::clone(&shard),
+            run: Box::new(move |warm| {
+                let _ = busy_tx.send(evaluate(&shard, warm, "t1", "p1").is_ok());
+            }),
         });
-        assert!(sent.is_ok(), "queue accepts the busy eval");
+        assert!(sent.is_ok(), "queue accepts the busy evaluation");
         engine.shared.shutdown.store(true, Ordering::SeqCst);
         // As `stop_workers` does: one Stop addressed to the single worker —
-        // but a racing sender (the `lookup_or_enqueue` tail) drains the
-        // queue before the worker picks it up.
+        // but a racing sender (the `spawn_wire` tail) drains the queue
+        // before the worker picks it up.
         assert!(engine.job_tx.send(Job::Stop).is_ok(), "queue accepts");
         engine.drain_pending();
-        // Whichever side answered it (worker or drain), the eval resolves.
+        // Whichever side took it (worker or drain), the evaluation resolves.
         let _ = busy_rx.recv();
         // The worker must still receive its Stop and exit in bounded time.
         let handles = std::mem::take(&mut *engine.handles.lock().expect("handles poisoned"));
@@ -1964,9 +1809,6 @@ mod tests {
             .expect("worker must exit after a drained Stop is re-sent");
     }
 
-    /// The sender-side half of the fix: a query that observes the flag
-    /// after its send self-drains, so even a job enqueued after
-    /// `shutdown()` fully completed is answered.
     /// `MC` runs the perspective's compiled program: the estimate's CI
     /// covers the exact BDD availability, the second request hits the
     /// cached program (one evaluation total), and the reply is a pure

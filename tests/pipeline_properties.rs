@@ -4,9 +4,14 @@
 
 use netgen::campus::{campus_infrastructure, CampusParams};
 use netgen::services::{random_mapping, sequential_service};
+use netgen::usi::{all_printing_perspectives, printing_service, usi_infrastructure};
 use proptest::prelude::*;
+use uml::object_diagram::ObjectDiagram;
 use upsim_core::discovery::DiscoveryOptions;
+use upsim_core::error::UpsimResult;
+use upsim_core::infrastructure::Infrastructure;
 use upsim_core::pipeline::UpsimPipeline;
+use vpm::ModelSpace;
 
 fn params_strategy() -> impl Strategy<Value = CampusParams> {
     (1usize..=3, 1usize..=4, 1usize..=2, 1usize..=4, 1usize..=3).prop_map(
@@ -21,8 +26,74 @@ fn params_strategy() -> impl Strategy<Value = CampusParams> {
     )
 }
 
+/// What a run produces, comparable across runs: the UPSIM, each pair's
+/// sorted named paths, the reduction ratio's bits, and each step's label
+/// and `cached` flag.
+type Observed = (
+    ObjectDiagram,
+    Vec<Vec<Vec<String>>>,
+    u64,
+    Vec<(&'static str, bool)>,
+);
+
+fn observe(pipeline: &mut UpsimPipeline) -> Observed {
+    let run = pipeline.run().unwrap();
+    let mut paths: Vec<_> = run.discovered.iter().map(|d| d.named_paths()).collect();
+    paths.iter_mut().for_each(|named| named.sort());
+    let steps = run.timings.iter().map(|t| (t.step, t.cached)).collect();
+    (run.upsim, paths, run.reduction_ratio.to_bits(), steps)
+}
+
+/// Cuts one link and hangs a new device with a dotted name off one end.
+fn damage(infra: &mut Infrastructure, seed: u64) -> UpsimResult<()> {
+    let link = &infra.objects.links[seed as usize % infra.link_count()];
+    let (a, b) = (link.end_a.clone(), link.end_b.clone());
+    let class = infra.class_of(&a)?.to_string();
+    infra.disconnect(&a, &b)?;
+    infra.add_device("spare.0", &class)?;
+    infra.connect("spare.0", &a)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `record_paths = false` skips the model space and nothing else: on a
+    /// USI Table I perspective or a random campus, lean and recording
+    /// pipelines agree run for run — cold, after a mapping update, after a
+    /// topology update — and the lean pipeline's space stays empty.
+    #[test]
+    fn lean_pipeline_equals_recording_pipeline(
+        usi in any::<bool>(),
+        params in params_strategy(),
+        service_len in 1usize..5,
+        seed in 0u64..1000,
+    ) {
+        let (infra, service, [first, second]) = if usi {
+            let perspectives = all_printing_perspectives();
+            let pick = |k: u64| perspectives[k as usize % perspectives.len()].2.clone();
+            (usi_infrastructure(), printing_service(), [pick(seed), pick(seed * 7 + 13)])
+        } else {
+            let infra = campus_infrastructure(params);
+            let service = sequential_service("svc", service_len);
+            let first = random_mapping(&service, &infra, seed);
+            let second = random_mapping(&service, &infra, seed + 1);
+            (infra, service, [first, second])
+        };
+        let mut lean = UpsimPipeline::new(infra.clone(), service.clone(), first.clone()).unwrap();
+        lean.record_paths = false;
+        let mut full = UpsimPipeline::new(infra, service, first).unwrap();
+        prop_assert_eq!(observe(&mut lean), observe(&mut full), "cold");
+        for p in [&mut lean, &mut full] {
+            p.set_mapping(second.clone()).unwrap();
+        }
+        prop_assert_eq!(observe(&mut lean), observe(&mut full), "after a mapping update");
+        for p in [&mut lean, &mut full] {
+            p.update_infrastructure(|infra| damage(infra, seed)).unwrap();
+        }
+        prop_assert_eq!(observe(&mut lean), observe(&mut full), "after a topology update");
+        prop_assert_eq!(lean.space().entity_count(), ModelSpace::new().entity_count());
+        prop_assert!(full.space().resolve("models.topology.spare_0").is_ok());
+    }
 
     #[test]
     fn upsim_invariants_hold_on_random_campuses(
