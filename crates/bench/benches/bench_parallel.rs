@@ -1,37 +1,33 @@
 //! E11 timing: sequential vs parallel all-paths enumeration (IPPS angle).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ict_graph::parallel::{parallel_simple_paths, ParallelOptions};
+use ict_graph::paths::all_simple_paths;
 use std::hint::black_box;
-use upsim_core::discovery::{discover_on_graph, DiscoveryOptions};
-use upsim_core::mapping::ServiceMappingPair;
 
 fn bench_parallel_enumeration(c: &mut Criterion) {
+    // Graph level, like E11: the parallel enumerator is experiment
+    // apparatus, not a Step 7 option, so it is timed against the
+    // sequential DFS directly.
     let infra = netgen::random::complete(9);
-    let view = infra.to_interned_graph();
-    let pair = ServiceMappingPair::new("s", "n0", "n8");
+    let (graph, index) = infra.to_graph();
+    let (source, target) = (index["n0"], index["n8"]);
 
     let mut group = c.benchmark_group("parallel/k9_all_paths");
     group.sample_size(10);
     group.bench_function("sequential", |b| {
-        b.iter(|| {
-            let d = discover_on_graph(&view, &pair, DiscoveryOptions::default()).unwrap();
-            black_box(d.len())
-        })
+        b.iter(|| black_box(all_simple_paths(&graph, source, target).len()))
     });
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(
             BenchmarkId::new("threads", threads),
             &threads,
             |b, &threads| {
-                let options = DiscoveryOptions {
-                    parallel: true,
+                let options = ParallelOptions {
                     threads,
                     ..Default::default()
                 };
-                b.iter(|| {
-                    let d = discover_on_graph(&view, &pair, options).unwrap();
-                    black_box(d.len())
-                })
+                b.iter(|| black_box(parallel_simple_paths(&graph, source, target, options).len()))
             },
         );
     }

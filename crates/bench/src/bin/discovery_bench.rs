@@ -87,7 +87,6 @@ fn main() {
         };
         for pruned in [true, false] {
             let options = DiscoveryOptions {
-                parallel: false,
                 prune: pruned,
                 ..Default::default()
             };

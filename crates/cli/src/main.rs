@@ -9,8 +9,7 @@
 //!   `--xmi <file>`),
 //! * `paths -i <infra.xml> --from <a> --to <b>` — all simple paths between
 //!   components (`--from`/`--to` accept comma-separated lists — every
-//!   pair is enumerated over one shared interned graph view;
-//!   `--parallel <threads>` for the parallel enumerator),
+//!   pair is enumerated over one shared interned graph view),
 //! * `availability -i ... -s ... -m ...` — user-perceived steady-state
 //!   service availability (`--links`, `--paper-formula`, `--mc <samples>`),
 //! * `validate -i ... [-s ... -m ...]` — well-formedness checks,
@@ -55,7 +54,7 @@ const USAGE: &str = "upsim — user-perceived service infrastructure models (IPP
 USAGE:
   upsim export-case-study <dir>
   upsim generate     -i <infra.xml> -s <service.xml> -m <mapping.xml> [--dot <file>] [--xmi <file>]
-  upsim paths        -i <infra.xml> --from <comp[,comp...]> --to <comp[,comp...]> [--parallel <threads>]
+  upsim paths        -i <infra.xml> --from <comp[,comp...]> --to <comp[,comp...]>
   upsim availability -i <infra.xml> -s <service.xml> -m <mapping.xml> [--links] [--paper-formula] [--mc <samples>] [--transient] [--sensitivity]
   upsim redundancy   -i <infra.xml> -s <service.xml> -m <mapping.xml>
   upsim validate     -i <infra.xml> [-s <service.xml>] [-m <mapping.xml>]
@@ -836,13 +835,7 @@ fn paths(flags: &Flags) -> Result<(), CliError> {
         .map_err(|e| e.to_string())?;
     let from = require(flags, &["from"])?;
     let to = require(flags, &["to"])?;
-    let mut options = DiscoveryOptions::default();
-    if let Some(threads) = flag(flags, &["parallel"]) {
-        options.parallel = true;
-        options.threads = threads
-            .parse()
-            .map_err(|_| usage_err("--parallel expects a thread count"))?;
-    }
+    let options = DiscoveryOptions::default();
     // One interned view (name table + block-cut tree) and one reusable
     // workspace serve every requested endpoint pair: `--from`/`--to`
     // accept comma-separated lists, and the graph extraction is no longer

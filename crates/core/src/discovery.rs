@@ -7,19 +7,19 @@
 //! algorithm with a path tracking mechanism to avoid live-locks within
 //! cycles."*
 //!
-//! The DFS itself lives in `ict_graph::paths` (with a parallel variant in
-//! `ict_graph::parallel` — path discovery is the only super-polynomial step
-//! and parallelizes embarrassingly over prefixes). This module binds it to
-//! the methodology: resolve the pair against the infrastructure, enumerate,
-//! convert back to component names, and optionally record the paths in the
-//! model space (the paper's "reserved tree structure").
+//! The DFS itself lives in `ict_graph::paths`. This module binds it to the
+//! methodology: resolve the pair against the infrastructure, enumerate the
+//! pruned DFS in the caller's workspace, convert back to component names,
+//! and optionally record the paths in the model space (the paper's
+//! "reserved tree structure"). It is the only Step 7 enumerator on every
+//! serving path; ict-graph's prefix fan-out enumerator is E11 apparatus,
+//! which the experiment calls directly.
 
 use crate::error::{UpsimError, UpsimResult};
 use crate::importers::PATHS_NS;
 use crate::infrastructure::Infrastructure;
 use crate::interned::{InternedGraph, NameTable};
 use crate::mapping::ServiceMappingPair;
-use ict_graph::parallel::{parallel_simple_paths_pruned, ParallelOptions};
 use ict_graph::paths::{for_each_simple_path, DiscoveryScratch, PathLimits};
 use std::sync::Arc;
 use vpm::ModelSpace;
@@ -27,11 +27,7 @@ use vpm::ModelSpace;
 /// Options for Step 7.
 #[derive(Debug, Clone, Copy)]
 pub struct DiscoveryOptions {
-    /// Use the parallel enumerator (crossbeam prefix fan-out).
-    pub parallel: bool,
-    /// Worker threads for the parallel enumerator (0 = all cores).
-    pub threads: usize,
-    /// Path limits (both enumerators).
+    /// Path limits.
     pub limits: PathLimits,
     /// Block-cut-tree pruning: restrict the DFS to the blocks between
     /// requester and provider (on by default — provably multiset-preserving,
@@ -42,8 +38,6 @@ pub struct DiscoveryOptions {
 impl Default for DiscoveryOptions {
     fn default() -> Self {
         DiscoveryOptions {
-            parallel: false,
-            threads: 0,
             limits: PathLimits::unlimited(),
             prune: true,
         }
@@ -217,48 +211,23 @@ pub fn discover_with_workspace(
         None
     };
 
-    if options.parallel {
-        let (raw, _) = parallel_simple_paths_pruned(
-            graph,
-            source,
-            target,
-            ParallelOptions {
-                threads: options.threads,
-                limits: options.limits,
-                ..Default::default()
-            },
-            mask,
-        );
-        node_paths.reserve(raw.len());
-        link_paths.reserve(raw.len());
-        for path in raw {
-            node_paths.push(path.nodes.iter().map(|n| n.index() as u32).collect());
+    for_each_simple_path(
+        graph,
+        source,
+        target,
+        options.limits,
+        mask,
+        &mut workspace.scratch,
+        |nodes, edges| {
+            node_paths.push(nodes.iter().map(|n| n.index() as u32).collect());
             link_paths.push(
-                path.edges
+                edges
                     .iter()
                     .map(|&e| *graph.edge(e).expect("live edge"))
                     .collect(),
             );
-        }
-    } else {
-        for_each_simple_path(
-            graph,
-            source,
-            target,
-            options.limits,
-            mask,
-            &mut workspace.scratch,
-            |nodes, edges| {
-                node_paths.push(nodes.iter().map(|n| n.index() as u32).collect());
-                link_paths.push(
-                    edges
-                        .iter()
-                        .map(|&e| *graph.edge(e).expect("live edge"))
-                        .collect(),
-                );
-            },
-        );
-    }
+        },
+    );
     Ok(DiscoveredPaths {
         pair: pair.clone(),
         names: Arc::clone(view.names()),
@@ -437,27 +406,6 @@ mod tests {
             components.len(),
             "components must be distinct"
         );
-    }
-
-    #[test]
-    fn parallel_discovery_matches_sequential() {
-        let infra = diamond();
-        let seq = discover(&infra, &pair(), DiscoveryOptions::default()).unwrap();
-        let par = discover(
-            &infra,
-            &pair(),
-            DiscoveryOptions {
-                parallel: true,
-                threads: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut seq_paths = seq.interned().to_vec();
-        let mut par_paths = par.interned().to_vec();
-        seq_paths.sort();
-        par_paths.sort();
-        assert_eq!(seq_paths, par_paths);
     }
 
     #[test]

@@ -78,10 +78,7 @@ fn interned_discovery_allocates_less_than_name_materialization() {
     let infra = redundant_fabric();
     let view = infra.to_interned_graph();
     let pair = ServiceMappingPair::new("request", "client", "server");
-    let options = DiscoveryOptions {
-        parallel: false,
-        ..Default::default()
-    };
+    let options = DiscoveryOptions::default();
 
     // Warm the workspace so both measured calls run at the high-water mark.
     let mut workspace = DiscoveryWorkspace::default();

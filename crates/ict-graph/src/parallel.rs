@@ -92,30 +92,8 @@ pub fn parallel_simple_paths_counted<N: Sync, E: Sync>(
     target: NodeId,
     options: ParallelOptions,
 ) -> (Vec<Path>, EnumerationStats) {
-    parallel_simple_paths_pruned(graph, source, target, options, None)
-}
-
-/// The full-featured parallel enumerator: like
-/// [`parallel_simple_paths_counted`] but with an optional node `mask`
-/// restricting the search (same semantics as
-/// [`crate::paths::for_each_simple_path`]: a `false` entry behaves like a
-/// removed node). [`crate::prune::BlockCutTree::relevant_nodes`] masks are
-/// path-multiset-preserving, so a pruned parallel run returns the same
-/// sorted output as an unpruned one.
-pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
-    graph: &Graph<N, E>,
-    source: NodeId,
-    target: NodeId,
-    options: ParallelOptions,
-    mask: Option<&[bool]>,
-) -> (Vec<Path>, EnumerationStats) {
     let mut stats = EnumerationStats::default();
-    let allowed = |n: NodeId| mask.is_none_or(|m| m.get(n.index()).copied().unwrap_or(false));
-    if !graph.contains_node(source)
-        || !graph.contains_node(target)
-        || !allowed(source)
-        || !allowed(target)
-    {
+    if !graph.contains_node(source) || !graph.contains_node(target) {
         return (Vec::new(), stats);
     }
     let cap = options.limits.max_paths.unwrap_or(usize::MAX);
@@ -149,7 +127,6 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
             break;
         };
         let head = *prefix.nodes.last().expect("non-empty prefix");
-        let mut extended = false;
         for adj in graph.neighbors(head) {
             if adj.node == target {
                 if options
@@ -165,7 +142,7 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
                 }
                 continue;
             }
-            if prefix.nodes.contains(&adj.node) || !allowed(adj.node) {
+            if prefix.nodes.contains(&adj.node) {
                 continue;
             }
             if options
@@ -181,9 +158,7 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
             edges.push(adj.edge);
             open.push_back(Prefix { nodes, edges });
             stats.frames += 1;
-            extended = true;
         }
-        let _ = extended;
         if open.is_empty() {
             break;
         }
@@ -221,7 +196,6 @@ pub fn parallel_simple_paths_pruned<N: Sync, E: Sync>(
                             p,
                             target,
                             options.limits,
-                            mask,
                             cap,
                             emitted,
                             &mut frames,
@@ -300,7 +274,6 @@ fn complete_prefix<N, E>(
     prefix: &Prefix,
     target: NodeId,
     limits: PathLimits,
-    mask: Option<&[bool]>,
     cap: usize,
     emitted: &AtomicUsize,
     frames: &mut usize,
@@ -352,9 +325,7 @@ fn complete_prefix<N, E>(
             }
             continue;
         }
-        if on_path[adj.node.index()]
-            || mask.is_some_and(|m| !m.get(adj.node.index()).copied().unwrap_or(false))
-        {
+        if on_path[adj.node.index()] {
             continue;
         }
         if limits.max_nodes.is_some_and(|cap| nodes.len() + 2 > cap) {
@@ -516,39 +487,6 @@ mod tests {
             capped.frames,
             uncapped.frames
         );
-    }
-
-    #[test]
-    fn mask_restricts_parallel_search() {
-        // Square 0-1-3 / 0-2-3: masking out node 2 leaves only the 0-1-3 route.
-        let mut g: Graph<usize, ()> = Graph::new_undirected();
-        let ids: Vec<_> = (0..4).map(|i| g.add_node(i)).collect();
-        g.add_edge(ids[0], ids[1], ());
-        g.add_edge(ids[1], ids[3], ());
-        g.add_edge(ids[0], ids[2], ());
-        g.add_edge(ids[2], ids[3], ());
-        let mut mask = vec![true; g.node_capacity()];
-        mask[ids[2].index()] = false;
-        let (paths, _) = parallel_simple_paths_pruned(
-            &g,
-            ids[0],
-            ids[3],
-            ParallelOptions::default(),
-            Some(&mask),
-        );
-        assert_eq!(paths.len(), 1);
-        assert_eq!(paths[0].nodes, vec![ids[0], ids[1], ids[3]]);
-        // Masking an endpoint yields nothing.
-        mask[ids[3].index()] = false;
-        let (paths, stats) = parallel_simple_paths_pruned(
-            &g,
-            ids[0],
-            ids[3],
-            ParallelOptions::default(),
-            Some(&mask),
-        );
-        assert!(paths.is_empty());
-        assert_eq!(stats.frames, 0);
     }
 
     #[test]

@@ -30,8 +30,8 @@ use std::time::Instant;
 use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender};
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
 use upsim_campaign::{
-    aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, CampaignInput,
-    CampaignReport, CampaignSpec, EvalCtx,
+    aggregate, evaluate_baseline_chunk, evaluate_scenario_with, Baseline, BaselinePerspective,
+    CampaignInput, CampaignReport, CampaignSpec, EvalCtx, ScenarioOutcome,
 };
 use upsim_core::discovery::DiscoveryOptions;
 use upsim_core::error::UpsimError;
@@ -84,6 +84,10 @@ pub enum EngineError {
     /// Rejected before journaling: a parallel edge would leave
     /// availability unchanged but inflate every path count through it.
     AlreadyConnected(String, String),
+    /// An `UPDATE SERVICE` named an atomic service the shard's mapper
+    /// leaves without a mapping pair. Rejected before journaling: once
+    /// published, every later query on the shard would fail.
+    UnmappedService(String),
     /// The engine is shut down (or a worker disappeared mid-request).
     Shutdown,
 }
@@ -98,6 +102,7 @@ impl std::fmt::Display for EngineError {
             EngineError::Persist(msg) => write!(f, "persistence error: {msg}"),
             EngineError::NonMonotoneObservation(msg) => write!(f, "{msg}"),
             EngineError::AlreadyConnected(a, b) => write!(f, "already connected `{a}` `{b}`"),
+            EngineError::UnmappedService(atomic) => write!(f, "unmapped atomic service `{atomic}`"),
             EngineError::Shutdown => write!(f, "engine is shut down"),
         }
     }
@@ -133,18 +138,11 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        // Workers are already parallel across perspectives; keep Step 7's
-        // intra-query parallelism modest.
-        let discovery = DiscoveryOptions {
-            parallel: true,
-            threads: 2,
-            ..Default::default()
-        };
         EngineConfig {
             workers: 0,
             queue_capacity: 256,
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            discovery,
+            discovery: DiscoveryOptions::default(),
             mapper: pingpong_mapper(),
         }
     }
@@ -230,9 +228,6 @@ pub struct UpdateSummary {
     /// `"connect"`, `"disconnect"`, or `"substitute-service"`.
     pub kind: &'static str,
 }
-
-/// A boxed fallible unit of campaign work, fanned out via `scatter`.
-type CampaignTask<T> = Box<dyn FnOnce() -> Result<T, String> + Send>;
 
 /// A boxed streaming chunk of scatter work: sends one `(index, value)`
 /// pair through the result channel for every item it owns.
@@ -1113,18 +1108,16 @@ impl Engine {
         // pack when sampling), so they take the fine-grained policy.
         let pairs = input.pairs.len();
         let chunk = adaptive_chunk(pairs, self.workers.max(1), true);
-        let mut baseline_tasks: Vec<CampaignTask<Vec<upsim_campaign::BaselinePerspective>>> =
+        let mut baseline_tasks: Vec<StreamTask<Result<Vec<BaselinePerspective>, String>>> =
             Vec::new();
-        let mut start = 0;
-        while start < pairs {
+        for (index, start) in (0..pairs).step_by(chunk).enumerate() {
             let end = (start + chunk).min(pairs);
             let task_input = Arc::clone(&input);
-            baseline_tasks.push(Box::new(move || {
-                evaluate_baseline_chunk(&task_input, start..end)
+            baseline_tasks.push(Box::new(move |tx| {
+                let _ = tx.send((index, evaluate_baseline_chunk(&task_input, start..end)));
             }));
-            start = end;
         }
-        let chunks = self.scatter(&shard, baseline_tasks, |_| {}, Some(cancel))?;
+        let chunks = self.scatter(&shard, baseline_tasks.len(), baseline_tasks, |_| {}, cancel)?;
         let mut perspectives = Vec::with_capacity(pairs);
         for chunk in chunks {
             perspectives.extend(chunk.map_err(EngineError::Campaign)?);
@@ -1152,10 +1145,8 @@ impl Engine {
         // counter reflects work actually done.
         let total = input.scenarios.len();
         let chunk = adaptive_chunk(total, self.workers.max(1), input.spec.mc.is_some());
-        let mut scenario_tasks: Vec<StreamTask<Result<upsim_campaign::ScenarioOutcome, String>>> =
-            Vec::new();
-        let mut start = 0;
-        while start < total {
+        let mut scenario_tasks: Vec<StreamTask<Result<ScenarioOutcome, String>>> = Vec::new();
+        for start in (0..total).step_by(chunk) {
             let end = (start + chunk).min(total);
             let task_input = Arc::clone(&input);
             let task_baseline = Arc::clone(&baseline);
@@ -1185,15 +1176,14 @@ impl Engine {
                     let _ = tx.send((index, outcome));
                 }
             }));
-            start = end;
         }
         let outcomes = self
-            .scatter_stream(
+            .scatter(
                 &shard,
                 total,
                 scenario_tasks,
                 |done| progress(done, total),
-                Some(cancel),
+                cancel,
             )?
             .into_iter()
             .collect::<Result<Vec<_>, _>>()
@@ -1204,50 +1194,26 @@ impl Engine {
         Ok(report)
     }
 
-    /// Fans a batch of independent closures across the worker pool and
-    /// blocks until every result is back, returned in submission order —
-    /// the one-result-per-task face of [`Engine::scatter_stream`].
-    fn scatter<T: Send + 'static>(
-        &self,
-        shard: &Arc<Shard>,
-        tasks: Vec<Box<dyn FnOnce() -> T + Send>>,
-        on_result: impl FnMut(usize),
-        cancel: Option<&Arc<AtomicBool>>,
-    ) -> Result<Vec<T>, EngineError> {
-        let expected = tasks.len();
-        let tasks: Vec<StreamTask<T>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(index, task)| {
-                Box::new(move |tx: &Sender<(usize, T)>| {
-                    let _ = tx.send((index, task()));
-                }) as StreamTask<T>
-            })
-            .collect();
-        self.scatter_stream(shard, expected, tasks, on_result, cancel)
-    }
-
-    /// The chunked scatter core: submits `tasks` to the pool, each task
+    /// The campaign fan-out: submits `tasks` to the pool, each task
     /// streaming any number of `(index, value)` results through the
-    /// sender it is handed, and blocks until `expected` distinct indexes
+    /// sender it is handed, and blocks until `total` distinct indexes
     /// have arrived, returned in index order. `on_result` fires once per
     /// received item (not per task), which is what keeps per-scenario
     /// `PROGRESS` milestones alive under chunked submission. The result
-    /// channel has room for every expected item, so workers never block
+    /// channel has room for every item, so workers never block
     /// sending and the job queue always drains while workers live. If
     /// the engine shuts down mid-batch, drained tasks drop their result
     /// senders and the collection loop observes the closed channel — the
     /// caller gets `EngineError::Shutdown`, never a hang.
-    fn scatter_stream<T: Send + 'static>(
+    fn scatter<T: Send + 'static>(
         &self,
         shard: &Arc<Shard>,
-        expected: usize,
+        total: usize,
         tasks: Vec<StreamTask<T>>,
         mut on_result: impl FnMut(usize),
-        cancel: Option<&Arc<AtomicBool>>,
+        cancel: &AtomicBool,
     ) -> Result<Vec<T>, EngineError> {
-        let cancelled = || cancel.is_some_and(|flag| flag.load(Ordering::Relaxed));
-        let total = expected;
+        let cancelled = || cancel.load(Ordering::Relaxed);
         EngineMetrics::add(&shard.metrics.scatter_chunks, tasks.len() as u64);
         let (result_tx, result_rx) = channel::bounded::<(usize, T)>(total.max(1));
         for task in tasks {
@@ -1472,12 +1438,21 @@ fn probe(
 fn apply_update(shard: &Shard, command: UpdateCommand) -> Result<UpdateSummary, EngineError> {
     let mut guard = shard.snapshot.write().expect("snapshot poisoned");
     // Validated before journaling. Journal replay (`ModelSnapshot::apply`)
-    // has no such check, so a journal holding a duplicate CONNECT still
-    // restores.
-    if let UpdateCommand::Connect { a, b } = &command {
-        if guard.infrastructure.linked(a, b) {
+    // has no such checks, so a journal holding a duplicate CONNECT or an
+    // unmappable SERVICE still restores. The atomic services a mapper
+    // covers do not depend on the perspective, so any one will do.
+    match &command {
+        UpdateCommand::Connect { a, b } if guard.infrastructure.linked(a, b) => {
             return Err(EngineError::AlreadyConnected(a.clone(), b.clone()));
         }
+        UpdateCommand::SubstituteService { service } => {
+            if let Err(UpsimError::UnmappedAtomicService(atomic)) =
+                (shard.mapper)(service, "", "").for_service(service)
+            {
+                return Err(EngineError::UnmappedService(atomic));
+            }
+        }
+        _ => {}
     }
     let mut next = (**guard).clone();
     let old_service = next.service_name().to_string();

@@ -22,7 +22,8 @@
 //! * a crossbeam worker pool — each worker holds its own warm
 //!   [`upsim_core::pipeline::UpsimPipeline`] (Step 5 imports cached,
 //!   mapping swapped per query) and pulls jobs from a bounded queue;
-//!   Step 7 inside a worker can use `ict_graph::parallel`.
+//!   Step 7 inside a worker is the sequential pruned DFS — the pool is
+//!   parallel across perspectives, not within one.
 //! * [`protocol`] — a line-delimited request protocol (`QUERY`, `BATCH`,
 //!   `MC`, `UPDATE`, `STATS`, `USE`, `MODELS`, `SHUTDOWN`) with
 //!   single-line responses.

@@ -5,6 +5,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use dependability::montecarlo::MonteCarloResult;
 use dependability::transform::{AnalysisOptions, ServiceAvailabilityModel};
 use netgen::usi::{
     all_printing_perspectives, perspective_mapping, printing_service, usi_infrastructure,
@@ -26,27 +27,32 @@ fn usi_engine(workers: usize) -> Engine {
     Engine::new(snapshot, config)
 }
 
-/// Availability + UPSIM node set of one perspective, straight from a fresh
-/// single-shot pipeline (the reference the engine must agree with).
+/// Trials and seed of the Monte-Carlo cross-check in the batch test.
+const MC_SAMPLES: usize = 20_000;
+const MC_SEED: u64 = 7;
+
+/// Availability, UPSIM node set and a `MC_SAMPLES`-trial estimate of one
+/// perspective, straight from a fresh single-shot pipeline (the reference
+/// the engine must agree with).
 fn reference(
     infra: &Infrastructure,
     client: &str,
     printer: &str,
-) -> Result<(f64, BTreeSet<String>), String> {
+) -> Result<(f64, BTreeSet<String>, MonteCarloResult), String> {
     let mapping = perspective_mapping(client, printer);
     let mut pipeline = UpsimPipeline::new(infra.clone(), printing_service(), mapping)
         .map_err(|e| e.to_string())?;
     pipeline.record_paths = false;
     let run = pipeline.run().map_err(|e| e.to_string())?;
-    let availability = ServiceAvailabilityModel::from_run(
+    let model = ServiceAvailabilityModel::from_run(
         pipeline.infrastructure(),
         &run,
         AnalysisOptions::default(),
-    )
-    .availability_bdd();
+    );
     Ok((
-        availability,
+        model.availability_bdd(),
         run.touched_devices().map(String::from).collect(),
+        model.compile_mc().run(MC_SAMPLES, 1, MC_SEED),
     ))
 }
 
@@ -67,12 +73,20 @@ fn batched_concurrent_evaluation_matches_sequential_pipeline() {
     for ((client, printer), result) in pairs.iter().zip(batched) {
         let entry =
             result.unwrap_or_else(|e| panic!("batch failed for ({client}, {printer}): {e}"));
-        let (availability, nodes) =
+        let (availability, nodes, mc) =
             reference(&infra, client, printer).expect("sequential reference runs");
-        assert!(
-            (entry.availability - availability).abs() < 1e-12,
+        // The engine is a cache and concurrency layer over the same
+        // pipeline, so every number it serves agrees to the bit.
+        assert_eq!(
+            entry.availability.to_bits(),
+            availability.to_bits(),
             "({client}, {printer}): batched {} != sequential {availability}",
             entry.availability
+        );
+        assert_eq!(
+            entry.mc_program.run(MC_SAMPLES, 1, MC_SEED),
+            mc,
+            "({client}, {printer}): cached MC program diverges from the reference"
         );
         let engine_nodes: BTreeSet<String> = entry.upsim_nodes.iter().cloned().collect();
         assert_eq!(
@@ -168,9 +182,9 @@ proptest! {
             let served = engine.query(client, printer);
             let fresh = reference(&shadow, client, printer);
             match (&served, &fresh) {
-                (Ok(entry), Ok((availability, nodes))) => {
+                (Ok(entry), Ok((availability, nodes, _))) => {
                     prop_assert!(
-                        (entry.availability - availability).abs() < 1e-12,
+                        entry.availability.to_bits() == availability.to_bits(),
                         "({client}, {printer}) after updates: engine {} != fresh {}",
                         entry.availability,
                         availability

@@ -1,7 +1,9 @@
-//! Wire-level regression for `UPDATE CONNECT` of an already-linked pair:
-//! the live update path rejects it with a distinct error before
-//! journaling — epoch, journal bytes and cache stay untouched — while
-//! journal replay still restores a journal that contains such a command.
+//! Wire-level regressions for updates that would poison a shard:
+//! `UPDATE CONNECT` of an already-linked pair and `UPDATE SERVICE` with an
+//! atomic service the mapper cannot map. The live update path rejects
+//! each with a distinct error before journaling — epoch, journal bytes
+//! and cache stay untouched — while journal replay still restores a
+//! journal that contains such a command.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -136,5 +138,70 @@ fn journal_replay_still_restores_a_duplicate_connect() {
         links + 1,
         "replay keeps the parallel edge the journal recorded"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unmapped_service_is_rejected_before_the_journal() {
+    let dir = state_dir("unmapped");
+    let config = EngineConfig {
+        workers: 2,
+        mapper: Arc::new(|_, client, provider| perspective_mapping(client, provider)),
+        ..EngineConfig::default()
+    };
+    let engine = Engine::new(fresh_snapshot(), config);
+    engine
+        .enable_persistence(&dir, 0)
+        .expect("enable persistence");
+    let server = serve(engine, "127.0.0.1:0").expect("bind ephemeral port");
+    let mut client = Client::connect(server.local_addr());
+
+    assert!(client.request("QUERY t1 p1").contains(" source=miss "));
+    let cached = client.request("QUERY t1 p1");
+    assert!(cached.contains(" source=hit epoch=0 "), "{cached}");
+    let models = client.request("MODELS");
+    let journal = persist::journal_path(&dir);
+    let journal_bytes = std::fs::read(&journal).unwrap_or_default();
+
+    // The USI mapper only maps the printing atomics: a service built from
+    // other atomics is refused with its own error and changes nothing.
+    assert_eq!(
+        client.request("UPDATE SERVICE scanS a1 a2"),
+        "ERR unmapped atomic service `a1`"
+    );
+    assert_eq!(
+        client.request("MODELS"),
+        models,
+        "epoch and cache untouched"
+    );
+    assert_eq!(
+        std::fs::read(&journal).unwrap_or_default(),
+        journal_bytes,
+        "nothing journaled"
+    );
+    assert_eq!(
+        without_micros(&client.request("QUERY t1 p1")),
+        without_micros(&cached),
+        "the cached perspective survives"
+    );
+    let fresh = client.request("QUERY t2 p1");
+    assert!(
+        fresh.starts_with("OK ") && fresh.contains(" source=miss epoch=0 "),
+        "later queries still evaluate: {fresh}"
+    );
+
+    client.request("SHUTDOWN");
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn journal_replay_still_restores_an_unmapped_service() {
+    let dir = state_dir("legacy-service");
+    std::fs::write(persist::journal_path(&dir), "1 SERVICE scanS a1 a2\n")
+        .expect("write legacy journal");
+    let report = persist::restore(&dir, fresh_snapshot()).expect("legacy journal restores");
+    assert_eq!((report.replayed, report.snapshot.epoch), (1, 1));
+    assert_eq!(report.snapshot.service_name(), "scanS");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -151,29 +151,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_discovery_equals_sequential_at_pipeline_level(
-        params in params_strategy(),
-        seed in 0u64..100,
-    ) {
-        let infra = campus_infrastructure(params);
-        let service = sequential_service("svc", 2);
-        let mapping = random_mapping(&service, &infra, seed);
-        let mut seq = UpsimPipeline::new(infra.clone(), service.clone(), mapping.clone()).unwrap();
-        let mut par = UpsimPipeline::new(infra, service, mapping).unwrap();
-        par.set_options(DiscoveryOptions { parallel: true, threads: 3, ..Default::default() });
-        let rs = seq.run().unwrap();
-        let rp = par.run().unwrap();
-        prop_assert_eq!(&rs.upsim, &rp.upsim);
-        for (a, b) in rs.discovered.iter().zip(&rp.discovered) {
-            let mut pa = a.interned().to_vec();
-            let mut pb = b.interned().to_vec();
-            pa.sort();
-            pb.sort();
-            prop_assert_eq!(pa, pb);
-        }
-    }
-
-    #[test]
     fn pruned_discovery_equals_unpruned_on_random_campuses(
         params in params_strategy(),
         seed in 0u64..100,
